@@ -13,7 +13,8 @@
    single domain, identical results asserted) and with the Message
    record pool off vs on (a stack-level windowed-RMP pair).  The
    before/after numbers land in BENCH_perf.json; perf-smoke re-gates
-   the recorded bytes-per-node so slab regressions fail CI. *)
+   the recorded bytes-per-node and the pools-off words per message, so
+   allocator, world-build and message-path regressions fail CI. *)
 
 open Nectar_sim
 open Nectar_core
@@ -137,12 +138,28 @@ let bytes_per_node_gate ~check ~smoke =
       (b <= recorded_bytes_per_node * 3 / 2);
   b
 
+(* Recorded regression points for perf-smoke: minor words per delivered
+   message with the pools off, in the smoke-sized runs below — the
+   single-domain fleet smoke and the stack-level RMP pair.  These are the
+   simulator's own cost per message (context switches, events, records);
+   the counts are exact for a given compiler, and the 1.05x ceiling fails
+   CI on any allocation regression worth a benchmark's bound. *)
+let recorded_fleet_words_per_msg = 729
+let recorded_rmp_words_per_msg = 4_327
+
+let words_gate ~check what ~recorded w =
+  check
+    (Printf.sprintf
+       "BENCH_perf.json %s: %.0f minor words/msg within 1.05x of recorded %d"
+       what w recorded)
+    (w <= float_of_int recorded *. 1.05)
+
 (* Minor words per delivered message of a single-domain fleet run, event
    slab off vs on.  Single domain means every allocation happens on this
    domain, so Gc.minor_words brackets the run exactly; the off/on worlds
    are asserted result-identical first, making the comparison
    apples-to-apples. *)
-let fleet_minor_words ~check ~msgs =
+let fleet_minor_words ~check ~smoke ~msgs =
   let one event_pool =
     let c = cfg ~cabs:256 ~pattern:"all-to-all" ~msgs ~domains:1 ~event_pool in
     let w0 = Gc.minor_words () in
@@ -161,12 +178,15 @@ let fleet_minor_words ~check ~msgs =
   check
     (Printf.sprintf "fleet slab: minor words/msg %.0f -> %.0f" w_off w_on)
     (w_on < w_off);
+  if smoke then
+    words_gate ~check "fleet slab off" ~recorded:recorded_fleet_words_per_msg
+      w_off;
   (w_off, w_on, r_on.Driver.pool_hits)
 
 (* Minor words per message of a stack-level windowed-RMP pair, Message
    record pool off vs on — the datalink/transport path is where Message
    records churn. *)
-let rmp_minor_words ~check ~count =
+let rmp_minor_words ~check ~smoke ~count =
   let one msg_pool =
     let eng = Engine.create () in
     let net = Net.create eng ~hubs:1 () in
@@ -219,6 +239,9 @@ let rmp_minor_words ~check ~count =
   check
     (Printf.sprintf "rmp slab: minor words/msg %.0f -> %.0f" w_off w_on)
     (w_on < w_off);
+  if smoke then
+    words_gate ~check "rmp pool off" ~recorded:recorded_rmp_words_per_msg
+      w_off;
   (w_off, w_on, hits)
 
 (* ---------- sweep ---------- *)
@@ -255,10 +278,10 @@ let measure ~smoke ~check () =
         [ (256, 400); (512, 400); (1024, 400) ]
   in
   let fw_off, fw_on, fhits =
-    fleet_minor_words ~check ~msgs:(if smoke then 4 else 40)
+    fleet_minor_words ~check ~smoke ~msgs:(if smoke then 4 else 40)
   in
   let rw_off, rw_on, mhits =
-    rmp_minor_words ~check ~count:(if smoke then 60 else 400)
+    rmp_minor_words ~check ~smoke ~count:(if smoke then 60 else 400)
   in
   {
     r_points = points;

@@ -12,8 +12,11 @@
 # assertions are deterministic delivery/batch counts, exact zero-copy
 # byte counters, and the recorded BENCH_perf.json throughputs with
 # tracing compiled in but disabled — wall-clock numbers are never
-# gated in CI), and the trace self-check (Chrome JSON parses, every
-# data-path stage appears as a matched begin/end pair, no ring drops).
+# gated in CI), the trace self-check (Chrome JSON parses, every
+# data-path stage appears as a matched begin/end pair, no ring drops),
+# and the benchmark's own tests (every workload reports every metric,
+# same seed same simulation, the event slab moves words and nothing
+# else).
 set -eux
 
 dune build @all
@@ -27,3 +30,4 @@ dune build @fleet
 dune build @coll
 dune exec bench/main.exe -- perf-smoke
 dune exec bin/nectar_cli.exe -- trace --check --out /tmp/nectar_trace_ci.json
+python3 perfbench/test/test_bench.py

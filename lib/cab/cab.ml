@@ -26,7 +26,6 @@ type t = {
   tx_ready : Waitq.t;
   fiber_queue : fiber_item Queue.t;
   fiber_ready : Waitq.t;
-  probe_pts : Probe.t;
   mutable vme_bus : Vme.t option;
   tx_count : Stats.Counter.t;
 }
@@ -113,7 +112,6 @@ let create ?data_bytes net ~hub ~port ~name =
       tx_ready = Waitq.create eng ~name:(name ^ ".tx-ready") ();
       fiber_queue = Queue.create ();
       fiber_ready = Waitq.create eng ~name:(name ^ ".fiber-ready") ();
-      probe_pts = Probe.create eng;
       vme_bus = None;
       tx_count = Stats.Counter.create ();
     }
@@ -131,7 +129,6 @@ let memory t = t.mem
 let irq t = t.irq_ctl
 let rx t = t.rx_engine
 let network t = t.net
-let probe t = t.probe_pts
 let vme t = t.vme_bus
 let attach_vme t v = t.vme_bus <- Some v
 

@@ -35,7 +35,6 @@ val memory : t -> Memory.t
 val irq : t -> Interrupts.t
 val rx : t -> Rx.t
 val network : t -> Nectar_hub.Network.t
-val probe : t -> Nectar_sim.Probe.t
 
 val vme : t -> Vme.t option
 val attach_vme : t -> Vme.t -> unit

@@ -27,7 +27,9 @@ val create :
 val post : t -> name:string -> (ctx -> unit) -> unit
 (** Queue an interrupt whose handler is [fn].  May be called from processes
     or timer callbacks.  The handler must not block (no waiting operations);
-    it may charge CPU via {!work} and wake threads. *)
+    it may charge CPU via {!work} and wake threads.  [name] identifies the
+    handler kind (a literal such as ["rx-done"]): the controller keeps one
+    process name per distinct [name], so it must not vary per post. *)
 
 val work : ctx -> Nectar_sim.Sim_time.span -> unit
 (** Charge handler CPU time (at interrupt priority, atomic). *)

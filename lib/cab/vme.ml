@@ -39,9 +39,15 @@ let pio t ~cpu ~owner ~priority ~bytes =
   while !remaining > 0 do
     let n = min !remaining Costs.vme_pio_batch_bytes in
     let words = (n + 3) / 4 in
-    Resource.with_held t.bus_res (fun () ->
-        Cpu.consume cpu owner ~priority ~atomic:true
-          (words * Costs.vme_word_ns));
+    (* [Resource.with_held] spelled out: no closure per batch *)
+    Resource.acquire t.bus_res;
+    (match
+       Cpu.consume cpu owner ~priority ~atomic:true (words * Costs.vme_word_ns)
+     with
+    | () -> Resource.release t.bus_res
+    | exception e ->
+        Resource.release t.bus_res;
+        raise e);
     (* a faulted batch burned its bus cycles but moved nothing: rerun it *)
     if not (bus_errored t) then remaining := !remaining - n
   done;

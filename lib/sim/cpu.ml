@@ -21,7 +21,12 @@ type t = {
   eng : Engine.t;
   cname : string;
   ready : request Nectar_util.Binary_heap.t;
-  mutable current : (request * Sim_time.t * Engine.timer) option;
+  idle : request; (* sentinel: [running == idle] when nothing is dispatched *)
+  mutable running : request;
+  mutable started : Sim_time.t; (* when [running] was dispatched *)
+  mutable timer : Engine.timer; (* [running]'s completion; [no_timer] when idle *)
+  no_timer : Engine.timer;
+  complete_running : unit -> unit; (* built once: every dispatch's timer fn *)
   mutable last_owner : int; (* id; -1 = none *)
   mutable next_owner_id : int;
   mutable next_seq : int;
@@ -39,20 +44,6 @@ let cmp_requests a b =
   if a.priority <> b.priority then Int.compare b.priority a.priority
   else Int.compare a.seq b.seq
 
-let create eng ~name () =
-  {
-    eng;
-    cname = name;
-    ready = Nectar_util.Binary_heap.create ~cmp:cmp_requests ();
-    current = None;
-    last_owner = -1;
-    next_owner_id = 0;
-    next_seq = 0;
-    busy = 0;
-    switch_count = 0;
-    all_owners = [];
-  }
-
 let engine t = t.eng
 
 let owner ?(transparent = false) t ~name ~switch_in =
@@ -65,9 +56,8 @@ let owner ?(transparent = false) t ~name ~switch_in =
 let owner_name o = o.oname
 
 let rec start_next t =
-  match Nectar_util.Binary_heap.pop t.ready with
-  | None -> ()
-  | Some req -> start t req
+  if not (Nectar_util.Binary_heap.is_empty t.ready) then
+    start t (Nectar_util.Binary_heap.pop_exn t.ready)
 
 and start t req =
   let now = Engine.now t.eng in
@@ -83,43 +73,84 @@ and start t req =
        context resumes without paying its switch-in again *)
   end;
   req.trace_id <- Trace.span_begin ~track:t.cname req.req_owner.oname;
-  let timer = Engine.after t.eng req.remaining (fun () -> complete t req) in
-  t.current <- Some (req, now, timer)
+  t.running <- req;
+  t.started <- now;
+  t.timer <- Engine.after t.eng req.remaining t.complete_running
 
-and complete t req =
-  (match t.current with
-  | Some (cur, started, _) when cur == req ->
-      let elapsed = Engine.now t.eng - started in
-      t.busy <- t.busy + elapsed;
-      req.req_owner.served <- req.req_owner.served + elapsed;
-      Trace.span_end req.trace_id;
-      req.trace_id <- 0;
-      t.current <- None
-  | _ -> invalid_arg "Cpu.complete: not current");
+(* Fired by [running]'s completion timer.  A preempted request's timer is
+   cancelled, so the request completing is always [running]. *)
+and complete t =
+  let req = t.running in
+  let elapsed = Engine.now t.eng - t.started in
+  t.busy <- t.busy + elapsed;
+  req.req_owner.served <- req.req_owner.served + elapsed;
+  Trace.span_end req.trace_id;
+  req.trace_id <- 0;
+  t.running <- t.idle;
+  t.timer <- t.no_timer;
   req.resume ();
   start_next t
 
+(* The sentinel is per CPU, never shared: it is also the ready queue's
+   filler for vacated slots, and per-node state must not alias another
+   node's mutable records. *)
+let create eng ~name () =
+  let idle =
+    {
+      req_owner =
+        { id = -1; oname = ""; switch_in = 0; transparent = true; served = 0 };
+      priority = min_int;
+      atomic = false;
+      remaining = 0;
+      queued_at = 0;
+      resume = ignore;
+      seq = -1;
+      trace_id = 0;
+    }
+  in
+  let no_timer = Engine.inert_timer () in
+  let rec t =
+    {
+      eng;
+      cname = name;
+      ready = Nectar_util.Binary_heap.create ~cmp:cmp_requests ~dummy:idle ();
+      idle;
+      running = idle;
+      started = 0;
+      timer = no_timer;
+      no_timer;
+      complete_running = (fun () -> complete t);
+      last_owner = -1;
+      next_owner_id = 0;
+      next_seq = 0;
+      busy = 0;
+      switch_count = 0;
+      all_owners = [];
+    }
+  in
+  t
+
 let maybe_preempt t incoming =
-  match t.current with
-  | None -> true
-  | Some (cur, started, timer) ->
-      if (not cur.atomic) && incoming.priority > cur.priority then begin
-        Engine.cancel timer;
-        let elapsed = Engine.now t.eng - started in
-        t.busy <- t.busy + elapsed;
-        cur.req_owner.served <- cur.req_owner.served + elapsed;
-        Trace.span_end cur.trace_id;
-        cur.trace_id <- 0;
-        cur.remaining <- cur.remaining - elapsed;
-        (* Guard against a zero-length residue when preempted exactly at
-           completion time (the completion event fires separately). *)
-        if cur.remaining < 0 then cur.remaining <- 0;
-        cur.queued_at <- Engine.now t.eng;
-        Nectar_util.Binary_heap.push t.ready cur;
-        t.current <- None;
-        true
-      end
-      else false
+  let cur = t.running in
+  if cur == t.idle then true
+  else if (not cur.atomic) && incoming.priority > cur.priority then begin
+    Engine.cancel t.timer;
+    let elapsed = Engine.now t.eng - t.started in
+    t.busy <- t.busy + elapsed;
+    cur.req_owner.served <- cur.req_owner.served + elapsed;
+    Trace.span_end cur.trace_id;
+    cur.trace_id <- 0;
+    cur.remaining <- cur.remaining - elapsed;
+    (* Guard against a zero-length residue when preempted exactly at
+       completion time (the completion event fires separately). *)
+    if cur.remaining < 0 then cur.remaining <- 0;
+    cur.queued_at <- Engine.now t.eng;
+    Nectar_util.Binary_heap.push t.ready cur;
+    t.running <- t.idle;
+    t.timer <- t.no_timer;
+    true
+  end
+  else false
 
 let consume t owner ~priority ?(atomic = false) span =
   if span < 0 then invalid_arg "Cpu.consume: negative span";
@@ -139,7 +170,12 @@ let consume t owner ~priority ?(atomic = false) span =
           }
         in
         t.next_seq <- t.next_seq + 1;
-        if maybe_preempt t req then begin
+        if t.running == t.idle && Nectar_util.Binary_heap.is_empty t.ready
+        then
+          (* idle CPU, nothing queued: pushing and popping would hand back
+             this very request *)
+          start t req
+        else if maybe_preempt t req then begin
           (* CPU is (now) idle: this request may still not be the best one
              if a preemption just queued the loser; pick properly. *)
           Nectar_util.Binary_heap.push t.ready req;
@@ -148,9 +184,8 @@ let consume t owner ~priority ?(atomic = false) span =
         else Nectar_util.Binary_heap.push t.ready req)
 
 let busy_time t =
-  match t.current with
-  | Some (_, started, _) -> t.busy + (Engine.now t.eng - started)
-  | None -> t.busy
+  if t.running == t.idle then t.busy
+  else t.busy + (Engine.now t.eng - t.started)
 
 let owner_time _t o = o.served
 let switches t = t.switch_count

@@ -1,10 +1,13 @@
-(* The event queue is the hottest data structure in the simulator: every
-   sleep, DMA chunk, timer and process resumption passes through it.  It is
-   therefore a hand-specialised binary min-heap rather than the generic
-   [Nectar_util.Binary_heap]: ordering is two monomorphic int comparisons
-   (time, then sequence number) inlined into the sift loops — no closure
-   call, no polymorphic [compare] — and the run loop peeks and pops without
-   allocating options.
+(* The engine is two things: an event queue and the processes that run on
+   it.  Both sit on every simulated step — each sleep, CPU slice, wait,
+   DMA chunk, timer and interrupt is at least one event and usually one
+   process switch — so both are written for the simulator's own cost.
+
+   The event queue is a hand-specialised binary min-heap rather than the
+   generic [Nectar_util.Binary_heap]: ordering is two monomorphic int
+   comparisons (time, then sequence number) inlined into the sift loops —
+   no closure call, no polymorphic [compare] — and the run loop peeks and
+   pops without allocating options.
 
    Cancellation is O(1): a cancelled event is only marked dead and popped
    (for free) when its time comes.  Workloads dominated by the
@@ -13,7 +16,16 @@
    compacts — filters the dead entries and re-heapifies in place — whenever
    dead entries outnumber live ones; each cancel pays O(1) amortised.  Each
    event carries a reference to the engine's dead-entry counter so that
-   [cancel], which has no engine argument, can maintain it. *)
+   [cancel], which has no engine argument, can maintain it.
+
+   A process switch is an effect: the process performs [Suspend], the
+   handler hands out a one-shot resume, and resuming schedules an event
+   that continues the process.  Per switch that costs the effect, the
+   continuation, a resume closure, a slice closure and the event records
+   — and nothing else: per-process state is built once at spawn (see
+   [proc]), slices restore [running] without [Fun.protect], and sleeps
+   pass [resume] itself as the wake event.  DESIGN.md §6.11 has the word
+   counts. *)
 
 (* Every field except [dead_cell] is mutable so fired transient events
    (sleep wake-ups, yields, process resumptions — events whose handle is
@@ -40,9 +52,10 @@ type t = {
   mutable heap : event array;
   mutable size : int;
   dead : int ref; (* cancelled events still in the heap *)
-  mutable running : (int * string) option;
-      (* (pid, name) of the process currently executing, for context
-         tracking by the vet checkers; None inside timer callbacks *)
+  mutable running : proc;
+      (* the process currently executing, for context tracking by the vet
+         checkers; [no_proc] inside timer callbacks *)
+  no_proc : proc; (* this engine's "no process" sentinel *)
   mutable tie_break : tie_break option;
       (* same-time scheduling policy; None = seq order (the contract) *)
   (* Slab free list for transient events (sleep/yield wake-ups and process
@@ -55,6 +68,21 @@ type t = {
   mutable pool_max : int; (* 0 = pooling disabled *)
   mutable pool_hits : int;
   mutable pool_misses : int;
+}
+
+(* Everything a spawned process's slices, effect handler and resume
+   closures need, built once per process so each closure captures one
+   value.  Resumes are checked by count: a process has at most one
+   suspension outstanding, so the resume of suspension [n] is legal only
+   while [resumes < n]. *)
+and proc = {
+  eng : t;
+  pid : int;
+  pname : string;
+  mutable suspends : int;
+  mutable resumes : int;
+  mutable wake_label : string; (* [pname ^ ".wake"], built on first sleep *)
+  mutable yield_label : string; (* [pname ^ ".yield"], built on first yield *)
 }
 
 (* Process ids are globally unique (not per engine) so checkers observing
@@ -98,26 +126,44 @@ let dummy_event =
 let initial_capacity = 1024
 
 let create () =
-  {
-    clock = Sim_time.zero;
-    next_seq = 0;
-    heap = Array.make initial_capacity dummy_event;
-    size = 0;
-    dead = ref 0;
-    running = None;
-    tie_break = None;
-    pool = [||];
-    pool_len = 0;
-    pool_max = 0;
-    pool_hits = 0;
-    pool_misses = 0;
-  }
+  let rec t =
+    {
+      clock = Sim_time.zero;
+      next_seq = 0;
+      heap = Array.make initial_capacity dummy_event;
+      size = 0;
+      dead = ref 0;
+      running = no_proc;
+      no_proc;
+      tie_break = None;
+      pool = [||];
+      pool_len = 0;
+      pool_max = 0;
+      pool_hits = 0;
+      pool_misses = 0;
+    }
+  and no_proc =
+    {
+      eng = t;
+      pid = 0;
+      pname = "";
+      suspends = 0;
+      resumes = 0;
+      wake_label = "";
+      yield_label = "";
+    }
+  in
+  t
 
 let set_tie_break t policy = t.tie_break <- policy
 
 let now t = t.clock
-let current_pid t = Option.map fst t.running
-let current_process t = Option.map snd t.running
+
+let current_pid t =
+  if t.running == t.no_proc then None else Some t.running.pid
+
+let current_process t =
+  if t.running == t.no_proc then None else Some t.running.pname
 
 (* [a] strictly before [b]: earlier time, or same time scheduled earlier. *)
 let[@inline] before (a : event) (b : event) =
@@ -337,70 +383,105 @@ let cancel ev =
     incr ev.dead_cell
   end
 
+(* Its own dead-entry cell, so the record shares nothing mutable with an
+   engine or with another inert timer. *)
+let inert_timer () = { dummy_event with dead_cell = ref 0 }
+
 (* Effect plumbing: a process performs [Suspend register]; the handler
    installed by [spawn] turns the continuation into a one-shot resume
-   function that schedules an event on the engine. *)
+   function that schedules an event on the engine.  This is the simulated
+   context switch, so nothing here allocates beyond what the header
+   comment lists. *)
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
 let suspend register = Effect.perform (Suspend register)
 
-let spawn t ?(name = "proc") f =
-  let pid = 1 + Atomic.fetch_and_add pid_counter 1 in
-  (* Every slice of this process's execution (initial body, each resumption)
-     runs with [t.running] set to its identity; suspension returns normally
-     through the effect handler, so the finally always restores. *)
-  let labelled g =
-    let saved = t.running in
-    t.running <- Some (pid, name);
-    Fun.protect ~finally:(fun () -> t.running <- saved) g
-  in
-  let run_body () =
-    let open Effect.Deep in
-    labelled (fun () ->
-        match_with f ()
-          {
-            retc = (fun () -> ());
-            exnc = (fun e -> raise (Process_failure (name, e)));
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Suspend register ->
-                    Some
-                      (fun (k : (a, _) continuation) ->
-                        let resumed = ref false in
-                        let resume v =
-                          if !resumed then
-                            failwith
-                              ("Engine: double resume of process " ^ name);
-                          resumed := true;
-                          schedule_transient t ~label:name t.clock (fun () ->
-                              labelled (fun () -> continue k v))
-                        in
-                        register resume)
-                | _ -> None);
-          })
-  in
-  schedule_transient t ~label:name t.clock run_body
+(* Continue [p] for one slice, with [running] set to it.  A suspension
+   returns normally through the handler; [run_body] below is the same for
+   the first slice. *)
+let run_slice p k v =
+  let t = p.eng in
+  let saved = t.running in
+  t.running <- p;
+  match Effect.Deep.continue k v with
+  | () -> t.running <- saved
+  | exception e ->
+      t.running <- saved;
+      raise e
 
-(* The wake-up timers get the process name as label (computed here, while
-   [t.running] is still this process) so tie-break candidates and schedule
-   counterexamples read as "consumer.wake" rather than "?". *)
-let running_label t suffix =
-  (match t.running with Some (_, n) -> n | None -> "") ^ suffix
+let resume p k n v =
+  if p.resumes >= n then
+    failwith ("Engine: double resume of process " ^ p.pname);
+  p.resumes <- n;
+  let t = p.eng in
+  schedule_transient t ~label:p.pname t.clock (fun () -> run_slice p k v)
+
+let handler p =
+  let open Effect.Deep in
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> raise (Process_failure (p.pname, e)));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend register ->
+            Some
+              (fun (k : (a, _) continuation) ->
+                let n = p.suspends + 1 in
+                p.suspends <- n;
+                register (fun v -> resume p k n v))
+        | _ -> None);
+  }
+
+let run_body p f =
+  let t = p.eng in
+  let saved = t.running in
+  t.running <- p;
+  match Effect.Deep.match_with f () (handler p) with
+  | () -> t.running <- saved
+  | exception e ->
+      t.running <- saved;
+      raise e
+
+let spawn t ?(name = "proc") f =
+  let p =
+    {
+      eng = t;
+      pid = 1 + Atomic.fetch_and_add pid_counter 1;
+      pname = name;
+      suspends = 0;
+      resumes = 0;
+      wake_label = "";
+      yield_label = "";
+    }
+  in
+  schedule_transient t ~label:name t.clock (fun () -> run_body p f)
+
+(* The wake-up timers get the process name as label so tie-break
+   candidates and schedule counterexamples read as "consumer.wake" rather
+   than "?".  Built once per process, while it is [running]. *)
+let wake_label t =
+  let p = t.running in
+  if String.length p.wake_label = 0 then p.wake_label <- p.pname ^ ".wake";
+  p.wake_label
+
+let yield_label t =
+  let p = t.running in
+  if String.length p.yield_label = 0 then p.yield_label <- p.pname ^ ".yield";
+  p.yield_label
 
 let sleep t span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   if span = 0 then ()
   else
-    let label = running_label t ".wake" in
+    let label = wake_label t in
     suspend (fun resume ->
-        schedule_transient t ~label (t.clock + span) (fun () -> resume ()))
+        schedule_transient t ~label (t.clock + span) resume)
 
 let yield t =
-  let label = running_label t ".yield" in
-  suspend (fun resume ->
-      schedule_transient t ~label t.clock (fun () -> resume ()))
+  let label = yield_label t in
+  suspend (fun resume -> schedule_transient t ~label t.clock resume)
 
 (* Policy-driven loop, used only when a tie-break policy is installed (the
    schedule explorer in [lib/check]).  Each step pops the full set of live

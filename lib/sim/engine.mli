@@ -46,6 +46,11 @@ val after : t -> ?label:string -> Sim_time.span -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Idempotent; cancelling a fired timer is a no-op. *)
 
+val inert_timer : unit -> timer
+(** A timer that was never scheduled: it never fires and cancelling it is
+    a no-op.  For a field that holds a pending timer only some of the
+    time, to clear it to without an option. *)
+
 (** {1 Processes} *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit

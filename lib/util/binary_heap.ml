@@ -1,18 +1,19 @@
 type 'a t = {
   cmp : 'a -> 'a -> int;
+  dummy : 'a; (* fills vacated slots so popped elements can be collected *)
   mutable data : 'a array;
   mutable size : int;
 }
 
-let create ~cmp () = { cmp; data = [||]; size = 0 }
+let create ~cmp ~dummy () = { cmp; dummy; data = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let grow t x =
+let grow t =
   let cap = Array.length t.data in
   if t.size = cap then begin
     let ncap = max 16 (cap * 2) in
-    let nd = Array.make ncap x in
+    let nd = Array.make ncap t.dummy in
     Array.blit t.data 0 nd 0 t.size;
     t.data <- nd
   end
@@ -41,27 +42,24 @@ let rec sift_down t i =
   end
 
 let push t x =
-  grow t x;
+  grow t;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
 let pop_exn t =
-  match pop t with Some x -> x | None -> invalid_arg "Binary_heap.pop_exn"
+  if t.size = 0 then invalid_arg "Binary_heap.pop_exn";
+  let top = t.data.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  t.data.(0) <- t.data.(n);
+  t.data.(n) <- t.dummy;
+  if n > 0 then sift_down t 0;
+  top
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let iter f t =
   for i = 0 to t.size - 1 do

@@ -10,7 +10,10 @@
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> unit -> 'a t
+val create : cmp:('a -> 'a -> int) -> dummy:'a -> unit -> 'a t
+(** [dummy] fills the array's unused slots, so an element is not kept
+    reachable by the heap after it is popped.  It is never returned. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
@@ -22,6 +25,8 @@ val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val pop_exn : 'a t -> 'a
+(** Like {!pop} without the option.
+    @raise Invalid_argument when empty. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Iterate in unspecified order. *)

@@ -91,6 +91,99 @@ let test_suspend_resume_value () =
   Engine.run eng;
   check_int "resumed with value" 42 !got
 
+(* A second resume of one suspension raises at the call itself, and a
+   resume kept from an earlier suspension stays spent after the process
+   has suspended again. *)
+let test_double_resume_raises () =
+  let eng = Engine.create () in
+  let first = ref (fun () -> ()) and second = ref (fun () -> ()) in
+  let rounds = ref 0 in
+  Engine.spawn eng ~name:"victim" (fun () ->
+      Engine.suspend (fun resume -> first := resume);
+      incr rounds;
+      Engine.suspend (fun resume -> second := resume);
+      incr rounds);
+  let double = Failure "Engine: double resume of process victim" in
+  ignore
+    (Engine.after eng (us 1) (fun () ->
+         !first ();
+         Alcotest.check_raises "second resume of one suspension" double
+           (fun () -> !first ())));
+  ignore
+    (Engine.after eng (us 2) (fun () ->
+         Alcotest.check_raises "stale resume after a new suspension" double
+           (fun () -> !first ());
+         !second ()));
+  Engine.run eng;
+  check_int "both suspensions resumed once" 2 !rounds
+
+(* ---------- words per context switch ---------- *)
+
+(* Minor words per round trip of each switch primitive, pinned as
+   ceilings the way test_trace pins its zero-alloc path: the counts are
+   exact for a given compiler, so any added allocation on the switch
+   path fails here.  The loops run long enough that the engine's own
+   setup amortises below the slack. *)
+let switch_rounds = 10_000
+
+let words_per_round f =
+  f 100;
+  let w0 = Gc.minor_words () in
+  f switch_rounds;
+  (Gc.minor_words () -. w0) /. float_of_int switch_rounds
+
+let check_words name ~ceiling f =
+  let w = words_per_round f in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words per round, ceiling %d" name w ceiling)
+    true
+    (w <= float_of_int ceiling +. 0.5)
+
+let in_process f rounds =
+  let eng = Engine.create () in
+  Engine.spawn eng ~name:"p" (fun () -> f eng rounds);
+  Engine.run eng
+
+let test_switch_words () =
+  check_words "sleep" ~ceiling:46
+    (in_process (fun eng n ->
+         for _ = 1 to n do
+           Engine.sleep eng 1
+         done));
+  check_words "yield" ~ceiling:45
+    (in_process (fun eng n ->
+         for _ = 1 to n do
+           Engine.yield eng
+         done));
+  (* one round: each side waits once and signals once *)
+  check_words "waitq wait/signal ping-pong" ~ceiling:88 (fun n ->
+      let eng = Engine.create () in
+      let qa = Waitq.create eng () and qb = Waitq.create eng () in
+      Engine.spawn eng (fun () ->
+          for _ = 1 to n do
+            Waitq.wait qb;
+            ignore (Waitq.signal qa)
+          done);
+      Engine.spawn eng (fun () ->
+          for _ = 1 to n do
+            ignore (Waitq.signal qb);
+            Waitq.wait qa
+          done);
+      Engine.run eng);
+  check_words "cpu consume" ~ceiling:57
+    (in_process (fun eng n ->
+         let cpu = Cpu.create eng ~name:"cpu" () in
+         let o = Cpu.owner cpu ~name:"o" ~switch_in:10 in
+         for _ = 1 to n do
+           Cpu.consume cpu o ~priority:1 100
+         done));
+  check_words "spawn" ~ceiling:38 (fun n ->
+      let eng = Engine.create () in
+      for _ = 1 to n do
+        Engine.spawn eng ~name:"p" ignore
+      done;
+      Engine.run eng)
+
 (* ---------- Waitq ---------- *)
 
 let test_waitq_fifo_wakeup () =
@@ -371,7 +464,7 @@ let test_determinism () =
     "different seed, different trace" true
     (scenario_trace 42 <> scenario_trace 43)
 
-(* ---------- Stats / Rng / Probe ---------- *)
+(* ---------- Stats / Rng ---------- *)
 
 let test_summary () =
   let s = Stats.Summary.create ~keep_samples:true () in
@@ -477,51 +570,6 @@ let test_rng_bounds () =
     let v = Rng.int r 10 in
     Alcotest.(check bool) "in range" true (v >= 0 && v < 10)
   done
-
-let test_probe () =
-  let eng = Engine.create () in
-  let p = Probe.create eng in
-  Probe.enable p;
-  Engine.spawn eng (fun () ->
-      Probe.mark p "start";
-      Engine.sleep eng (us 12);
-      Probe.mark p "end");
-  Engine.run eng;
-  Alcotest.(check (option int)) "span" (Some (us 12))
-    (Probe.span p "start" "end");
-  Probe.disable p;
-  Probe.clear p;
-  Engine.spawn eng (fun () -> Probe.mark p "late");
-  Engine.run eng;
-  Alcotest.(check (option int)) "disabled records nothing" None
-    (Probe.find p "late")
-
-let test_probe_occurrences () =
-  let eng = Engine.create () in
-  let p = Probe.create eng in
-  Probe.enable p;
-  Engine.spawn eng (fun () ->
-      for _ = 1 to 3 do
-        Probe.mark p "a";
-        Engine.sleep eng (us 5);
-        Probe.mark p "b";
-        Engine.sleep eng (us 15)
-      done);
-  Engine.run eng;
-  check_int "count" 3 (Probe.count p "a");
-  Alcotest.(check (list int))
-    "occurrences" [ 0; us 20; us 40 ] (Probe.occurrences p "a");
-  Alcotest.(check (option int)) "find second" (Some (us 25))
-    (Probe.find ~occurrence:1 p "b");
-  Alcotest.(check (option int)) "find past end" None
-    (Probe.find ~occurrence:3 p "b");
-  Alcotest.(check (option int)) "span of round 2" (Some (us 5))
-    (Probe.span ~occurrence:2 p "a" "b");
-  Alcotest.(check (list int))
-    "per-iteration spans" [ us 5; us 5; us 5 ] (Probe.spans p "a" "b");
-  Alcotest.check_raises "negative occurrence rejected"
-    (Invalid_argument "Probe.find: negative occurrence") (fun () ->
-      ignore (Probe.find ~occurrence:(-1) p "a"))
 
 (* ---------- same-time tie-break contract ---------- *)
 
@@ -721,6 +769,9 @@ let () =
           Alcotest.test_case "run ~until" `Quick test_run_until;
           Alcotest.test_case "suspend/resume value" `Quick
             test_suspend_resume_value;
+          Alcotest.test_case "double resume raises" `Quick
+            test_double_resume_raises;
+          Alcotest.test_case "words per switch" `Quick test_switch_words;
         ] );
       ( "waitq",
         [
@@ -792,7 +843,5 @@ let () =
           qtest prop_rng_restore;
           Alcotest.test_case "rng copy independent" `Quick
             test_rng_copy_independent;
-          Alcotest.test_case "probe" `Quick test_probe;
-          Alcotest.test_case "probe occurrences" `Quick test_probe_occurrences;
         ] );
     ]

@@ -116,7 +116,7 @@ let prop_heap_drains_sorted =
   QCheck2.Test.make ~name:"heap pop order is sorted"
     QCheck2.Gen.(list int)
     (fun xs ->
-      let h = Binary_heap.create ~cmp:compare () in
+      let h = Binary_heap.create ~cmp:compare ~dummy:0 () in
       List.iter (Binary_heap.push h) xs;
       let rec drain acc =
         match Binary_heap.pop h with
@@ -129,7 +129,7 @@ let prop_heap_interleaved_model =
   QCheck2.Test.make ~name:"heap matches sorted-list model under mixed ops"
     QCheck2.Gen.(list (pair bool int))
     (fun ops ->
-      let h = Binary_heap.create ~cmp:compare () in
+      let h = Binary_heap.create ~cmp:compare ~dummy:0 () in
       let model = ref [] in
       List.for_all
         (fun (is_push, v) ->
@@ -148,7 +148,7 @@ let prop_heap_interleaved_model =
         ops)
 
 let test_heap_basics () =
-  let h = Binary_heap.create ~cmp:compare () in
+  let h = Binary_heap.create ~cmp:compare ~dummy:0 () in
   Alcotest.(check bool) "empty" true (Binary_heap.is_empty h);
   Binary_heap.push h 3;
   Binary_heap.push h 1;
@@ -159,6 +159,35 @@ let test_heap_basics () =
   check_int "pop" 2 (Binary_heap.pop_exn h);
   check_int "pop" 3 (Binary_heap.pop_exn h);
   Alcotest.(check (option int)) "pop empty" None (Binary_heap.pop h)
+
+(* A popped element must not stay reachable through the heap's array: the
+   CPU ready queue holds requests that carry a process's resume closure. *)
+let[@inline never] push_boxed h w =
+  for i = 0 to Weak.length w - 1 do
+    let x = ref (i + 1) in
+    Weak.set w i (Some x);
+    Binary_heap.push h x
+  done
+
+let test_heap_pop_releases () =
+  let h =
+    Binary_heap.create ~cmp:(fun a b -> Int.compare !a !b) ~dummy:(ref 0) ()
+  in
+  let w = Weak.create 3 in
+  push_boxed h w;
+  check_int "pop" 1 !(Binary_heap.pop_exn h);
+  (match Binary_heap.pop h with
+  | Some x -> check_int "pop" 2 !x
+  | None -> Alcotest.fail "heap empty early");
+  check_int "pop" 3 !(Binary_heap.pop_exn h);
+  Gc.full_major ();
+  for i = 0 to Weak.length w - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "popped element %d collected" (i + 1))
+      false (Weak.check w i)
+  done;
+  (* the heap itself stays live across the collection *)
+  check_int "heap drained" 0 (Binary_heap.length h)
 
 (* ---------- Int_key ---------- *)
 
@@ -336,6 +365,8 @@ let () =
       ( "binary_heap",
         [
           Alcotest.test_case "basics" `Quick test_heap_basics;
+          Alcotest.test_case "pop releases the element" `Quick
+            test_heap_pop_releases;
           qtest prop_heap_drains_sorted;
           qtest prop_heap_interleaved_model;
         ] );

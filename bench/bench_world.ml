@@ -1,4 +1,4 @@
-(* Shared world builders and measurement helpers for the paper-reproduction
+(* Shared seat plans and measurement helpers for the paper-reproduction
    benches.  Each bench builds a fresh simulation, runs a workload, and
    reports simulated time — absolute hardware truth comes from the cost
    model in Nectar_cab.Costs (see DESIGN.md section 5). *)
@@ -7,55 +7,26 @@ open Nectar_sim
 open Nectar_core
 open Nectar_proto
 open Nectar_host
-module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 
-type cab_world = {
-  eng : Engine.t;
-  net : Net.t;
-  stack_a : Stack.t;
-  stack_b : Stack.t;
-}
+(* The paper's testbed: two CABs on one HUB. *)
+let pair = [ (0, 0); (0, 1) ]
 
-let cab_pair ?tcp_checksum ?tcp_mss ?tcp_input_mode ?rmp_window ?rmp_ack_delay
-    () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let make i =
-    let cab = Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i) in
-    Stack.create (Runtime.create cab) ?tcp_checksum ?tcp_mss ?tcp_input_mode
-      ?rmp_window ?rmp_ack_delay ()
+(* A host on the CAB's VME backplane.  Called from a node constructor,
+   so each seat, host included, is built before the next one starts. *)
+let attach_host rt =
+  let host =
+    Host.create (Runtime.engine rt)
+      ~name:(Printf.sprintf "host%d" (Runtime.node_id rt))
   in
-  let stack_a = make 0 in
-  let stack_b = make 1 in
-  { eng; net; stack_a; stack_b }
+  (host, Cab_driver.attach host rt)
 
-type host_world = {
-  heng : Engine.t;
-  hnet : Net.t;
-  hstack_a : Stack.t;
-  hstack_b : Stack.t;
-  host_a : Host.t;
-  host_b : Host.t;
-  drv_a : Cab_driver.t;
-  drv_b : Cab_driver.t;
-}
+type host_node = { stack : Stack.t; host : Host.t; drv : Cab_driver.t }
 
-let host_pair ?tcp_checksum ?tcp_mss () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let make i =
-    let cab = Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i) in
-    let rt = Runtime.create cab in
-    let stack = Stack.create rt ?tcp_checksum ?tcp_mss () in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host rt in
-    (stack, host, drv)
-  in
-  let stack_a, host_a, drv_a = make 0 in
-  let stack_b, host_b, drv_b = make 1 in
-  { heng = eng; hnet = net; hstack_a = stack_a; hstack_b = stack_b;
-    host_a; host_b; drv_a; drv_b }
+let host_node stack rt =
+  let stack = stack rt in
+  let host, drv = attach_host rt in
+  { stack; host; drv }
 
 let spawn_cab_thread stack ~name body =
   ignore

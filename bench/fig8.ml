@@ -18,87 +18,93 @@ let message_count size = max 60 (min 400 (1_000_000 / size))
 (* ---------- RMP over the host path ---------- *)
 
 let rmp_throughput size =
-  let w = host_pair () in
+  let w = World.build ~seats:pair (host_node World.stack) in
+  let a = w.nodes.(0) and b = w.nodes.(1) in
   let port = 900 in
   let inbox =
-    Runtime.create_mailbox w.hstack_b.Stack.rt ~name:"f8-inbox" ~port
+    Runtime.create_mailbox b.stack.Stack.rt ~name:"f8-inbox" ~port
       ~byte_limit:(128 * 1024) ()
   in
   let send_mb =
-    Runtime.create_mailbox w.hstack_a.Stack.rt ~name:"f8-send"
+    Runtime.create_mailbox a.stack.Stack.rt ~name:"f8-send"
       ~byte_limit:(128 * 1024) ()
   in
-  spawn_cab_thread w.hstack_a ~name:"send-server" (fun ctx ->
+  spawn_cab_thread a.stack ~name:"send-server" (fun ctx ->
       while true do
         let m = Mailbox.begin_get ctx send_mb in
         let payload = Message.read_string m ~pos:0 ~len:(Message.length m) in
         Mailbox.end_get ctx m;
-        Rmp.send_string ctx w.hstack_a.Stack.rmp ~dst_cab:1 ~dst_port:port
+        Rmp.send_string ctx a.stack.Stack.rmp ~dst_cab:1 ~dst_port:port
           payload
       done);
   let h_send =
-    Hostlib.attach w.drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
+    Hostlib.attach a.drv send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
   in
   let h_in =
-    Hostlib.attach w.drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
+    Hostlib.attach b.drv inbox ~mode:Hostlib.Shared_memory ~readers:`Host
   in
   let k = message_count size in
   let done_at = ref 0 and started = ref 0 in
-  Host.spawn_process w.host_b ~name:"sink" (fun ctx ->
+  Host.spawn_process b.host ~name:"sink" (fun ctx ->
       for _ = 1 to k do
         let m = Hostlib.begin_get ctx h_in in
         ignore (Hostlib.read_string ctx h_in m);
         Hostlib.end_get ctx h_in m
       done;
-      done_at := Engine.now w.heng);
-  Host.spawn_process w.host_a ~name:"source" (fun ctx ->
-      started := Engine.now w.heng;
+      done_at := Engine.now w.eng);
+  Host.spawn_process a.host ~name:"source" (fun ctx ->
+      started := Engine.now w.eng;
       let payload = String.make size 'r' in
       for _ = 1 to k do
         let m = Hostlib.begin_put ctx h_send size in
         Hostlib.write_string ctx h_send m ~pos:0 payload;
         Hostlib.end_put ctx h_send m
       done);
-  Engine.run w.heng;
+  Engine.run w.eng;
   mbps ~bytes:(k * size) ~ns:(!done_at - !started)
 
 (* ---------- TCP over the host path ---------- *)
 
 let tcp_throughput size =
-  let w = host_pair ~tcp_checksum:true ~tcp_mss:size () in
+  let w =
+    World.build ~seats:pair
+      (host_node (fun rt ->
+           Stack.create rt ~tcp_checksum:true ~tcp_mss:size ()))
+  in
+  let a = w.nodes.(0) and b = w.nodes.(1) in
   let k = message_count size in
   let total = k * size in
   let conn_ref = ref None and accepted = ref None in
-  Tcp.listen w.hstack_b.Stack.tcp ~port:80 ~on_accept:(fun c ->
+  Tcp.listen b.stack.Stack.tcp ~port:80 ~on_accept:(fun c ->
       accepted := Some c);
   (* establish from a CAB thread, then hand the connection to the hosts *)
-  spawn_cab_thread w.hstack_a ~name:"connector" (fun ctx ->
+  spawn_cab_thread a.stack ~name:"connector" (fun ctx ->
       conn_ref :=
         Some
-          (Tcp.connect ctx w.hstack_a.Stack.tcp ~dst:(Stack.addr w.hstack_b)
+          (Tcp.connect ctx a.stack.Stack.tcp ~dst:(Stack.addr b.stack)
              ~dst_port:80 ()));
-  Engine.run w.heng;
+  Engine.run w.eng;
   let conn = Option.get !conn_ref and peer = Option.get !accepted in
   let send_req =
-    Hostlib.attach w.drv_a
-      (Tcp.send_request_mailbox w.hstack_a.Stack.tcp)
+    Hostlib.attach a.drv
+      (Tcp.send_request_mailbox a.stack.Stack.tcp)
       ~mode:Hostlib.Shared_memory ~readers:`Cab
   in
   let recv_h =
-    Hostlib.attach w.drv_b (Tcp.recv_mailbox peer)
+    Hostlib.attach b.drv (Tcp.recv_mailbox peer)
       ~mode:Hostlib.Shared_memory ~readers:`Host
   in
   let done_at = ref 0 and started = ref 0 in
-  Host.spawn_process w.host_b ~name:"sink" (fun ctx ->
+  Host.spawn_process b.host ~name:"sink" (fun ctx ->
       let received = ref 0 in
       while !received < total do
         let m = Hostlib.begin_get ctx recv_h in
         received := !received + String.length (Hostlib.read_string ctx recv_h m);
         Hostlib.end_get ctx recv_h m
       done;
-      done_at := Engine.now w.heng);
-  Host.spawn_process w.host_a ~name:"source" (fun ctx ->
-      started := Engine.now w.heng;
+      done_at := Engine.now w.eng);
+  Host.spawn_process a.host ~name:"source" (fun ctx ->
+      started := Engine.now w.eng;
       let payload = String.make size 't' in
       for _ = 1 to k do
         let m = Hostlib.begin_put ctx send_req (4 + size) in
@@ -106,26 +112,19 @@ let tcp_throughput size =
         Hostlib.write_string ctx send_req m ~pos:4 payload;
         Hostlib.end_put ctx send_req m
       done);
-  Engine.run w.heng;
+  Engine.run w.eng;
   mbps ~bytes:total ~ns:(!done_at - !started)
 
 (* ---------- network-device mode ---------- *)
 
 let netdev_throughput size =
-  let eng = Engine.create () in
-  let net = Nectar_hub.Network.create eng ~hubs:1 () in
-  let make i =
-    let cab =
-      Nectar_cab.Cab.create net ~hub:0 ~port:i
-        ~name:(Printf.sprintf "cab%d" i)
-    in
-    let rt = Runtime.create cab in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host rt in
-    (host, Netdev.create drv ())
+  let w =
+    World.build ~seats:pair (fun rt ->
+        let host, drv = attach_host rt in
+        (host, Netdev.create drv ()))
   in
-  let host_a, nd_a = make 0 in
-  let host_b, nd_b = make 1 in
+  let eng = w.eng in
+  let host_a, nd_a = w.nodes.(0) and host_b, nd_b = w.nodes.(1) in
   Netdev.bind nd_a ~port:11;
   Netdev.bind nd_b ~port:10;
   let k = max 40 (min 200 (300_000 / size)) in

@@ -8,6 +8,10 @@
    machine-independent: tail latency (p50/p99/max), per-sender goodput
    spread, HUB port contention.
 
+   The scaling section (bench scaling, and its smoke form for the
+   @parallel alias) sweeps domain counts over a 64-CAB torus through the
+   same per-point gates.
+
    The slab section measures the allocation pools: minor words per
    message with the engine event slab off vs on (same fleet workload,
    single domain, identical results asserted) and with the Message
@@ -19,8 +23,6 @@
 open Nectar_sim
 open Nectar_core
 open Nectar_proto
-module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
 module Topology = Nectar_fleet.Topology
 module Workload = Nectar_fleet.Workload
 module Driver = Nectar_fleet.Driver
@@ -66,11 +68,15 @@ type point = {
   final_ms : float;
 }
 
-let run_point ~check ~cabs ~pattern ~msgs ~domains ~determinism =
-  let c = cfg ~cabs ~pattern ~msgs ~domains ~event_pool:true in
+(* Run one driver configuration and assert what every fleet run must
+   hold; [determinism] re-runs it and requires an identical result. *)
+let run_point ~check ~determinism (c : Driver.config) =
   let t0 = Unix.gettimeofday () in
   let r = Driver.run c in
   let wall = Unix.gettimeofday () -. t0 in
+  let cabs = r.Driver.nodes
+  and pattern = Workload.pattern_name c.workload
+  and domains = c.domains in
   let what fmt =
     Printf.ksprintf
       (fun s -> Printf.sprintf "fleet %d/%s/%dd: %s" cabs pattern domains s)
@@ -188,15 +194,11 @@ let fleet_minor_words ~check ~smoke ~msgs =
    records churn. *)
 let rmp_minor_words ~check ~smoke ~count =
   let one msg_pool =
-    let eng = Engine.create () in
-    let net = Net.create eng ~hubs:1 () in
-    let make i =
-      let cab =
-        Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "mp%d" i)
-      in
-      Stack.create (Runtime.create ~msg_pool cab) ~rmp_window:8 ()
+    let w =
+      Nectar_fleet.World.build ~msg_pool ~seats:[ (0, 0); (0, 1) ] (fun rt ->
+          Stack.create rt ~rmp_window:8 ())
     in
-    let a = make 0 and b = make 1 in
+    let a = w.nodes.(0) and b = w.nodes.(1) in
     let port = 700 in
     let inbox =
       Runtime.create_mailbox b.Stack.rt ~name:"mp-inbox" ~port
@@ -219,7 +221,7 @@ let rmp_minor_words ~check ~smoke ~count =
            done;
            Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port));
     let w0 = Gc.minor_words () in
-    Engine.run eng;
+    Engine.run w.eng;
     let dw = Gc.minor_words () -. w0 in
     let hits =
       match Runtime.msg_pool a.Stack.rt with
@@ -263,8 +265,10 @@ let measure ~smoke ~check () =
   let b = bytes_per_node_gate ~check ~smoke in
   let points =
     if smoke then
-      [ run_point ~check ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:2
-          ~determinism:true ]
+      [
+        run_point ~check ~determinism:true
+          (cfg ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:2 ~event_pool:true);
+      ]
     else
       List.concat_map
         (fun (cabs, msgs) ->
@@ -273,7 +277,8 @@ let measure ~smoke ~check () =
               (* the acceptance point: the 1024-CAB world re-runs and
                  must reproduce bit-for-bit *)
               let determinism = cabs = 1024 && pattern = "incast" in
-              run_point ~check ~cabs ~pattern ~msgs ~domains:4 ~determinism)
+              run_point ~check ~determinism
+                (cfg ~cabs ~pattern ~msgs ~domains:4 ~event_pool:true))
             [ "incast"; "all-to-all"; "hotspot" ])
         [ (256, 400); (512, 400); (1024, 400) ]
   in
@@ -355,12 +360,110 @@ let json_fragment r =
   Buffer.add_string b "  ] }";
   Buffer.contents b
 
-(* Standalone experiment (the @fleet CI alias runs the smoke form). *)
-let run ~smoke () =
-  Bench_world.section
-    (if smoke then
-       "Fleet scale (smoke: 256 CABs, conservation + determinism + slab gates)"
-     else "Fleet scale: 256/512/1024 CABs x incast/all-to-all/hotspot");
+(* ---------- parallel-engine scaling sweep ---------- *)
+
+(* A 64-CAB 8x2 torus (4 CABs per hub, 1024-B frames, all-to-all) swept
+   over domain counts.  The row-block cuts turn the south trunks they
+   cross into store-and-forward links whose 20 us latency is the
+   scheduler's lookahead.  Every count and time is deterministic and
+   gated through [run_point], each multi-domain point twice; wall clock
+   is recorded, and the speedup gate applies only on >= 4 cores. *)
+let scaling_cfg ~msgs ~domains =
+  Driver.config ~domains ~lookahead_ns:20_000 ~frame_bytes:1024
+    ~topo:(Topology.Torus { rows = 8; cols = 2; seats = 4 })
+    ~workload:
+      (Workload.make ~pattern:Workload.All_to_all
+         ~arrivals:(Workload.Closed { think_ns = 20_000 })
+         ~msgs_per_node:msgs ~seed:1990)
+    ()
+
+type scaling = {
+  sc_msgs : int;
+  sc_cores : int;
+  sc_bytes_per_node : int;
+  sc_points : point list;  (** the 1-domain point first *)
+}
+
+let measure_scaling ~smoke ~check () =
+  let msgs = if smoke then 4 else 32 in
+  (* measured first, on a heap no finished domain has touched *)
+  let b = Driver.build_bytes_per_node (scaling_cfg ~msgs ~domains:1) in
+  check
+    (Printf.sprintf "scaling: build footprint %d B/node sane" b)
+    (b > 0 && b < 2_000_000);
+  let points =
+    List.map
+      (fun domains ->
+        run_point ~check ~determinism:(domains > 1)
+          (scaling_cfg ~msgs ~domains))
+      (if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ])
+  in
+  let cores = Domain.recommended_domain_count () in
+  let wall1 = (List.hd points).wall_s in
+  List.iter
+    (fun p ->
+      if p.domains = 4 && cores >= 4 then
+        check
+          (Printf.sprintf "scaling: >= 2.0x at 4 domains (%.2fx on %d cores)"
+             (wall1 /. p.wall_s) cores)
+          (wall1 /. p.wall_s >= 2.0))
+    points;
+  {
+    sc_msgs = msgs;
+    sc_cores = cores;
+    sc_bytes_per_node = b;
+    sc_points = points;
+  }
+
+let print_scaling r =
+  let wall1 = (List.hd r.sc_points).wall_s in
+  Printf.printf
+    "  parallel engine, 64 CABs on an 8x2 torus, %d msgs/node (%d cores):\n"
+    r.sc_msgs r.sc_cores;
+  List.iter
+    (fun p ->
+      Printf.printf
+        "    %d domain%s  %6.3f s wall  %5.2fx  (%d windows, %d crossings)\n"
+        p.domains
+        (if p.domains = 1 then " " else "s")
+        p.wall_s (wall1 /. p.wall_s) p.windows p.crossed)
+    r.sc_points;
+  Printf.printf "    build footprint %d B/node\n" r.sc_bytes_per_node
+
+let scaling_json_fragment r =
+  let b = Buffer.create 1024 in
+  let wall1 = (List.hd r.sc_points).wall_s in
+  Printf.bprintf b
+    "  \"scaling\": {\n\
+    \    \"note\": \"Fleet.Driver sweep; wall clock and speedup are \
+     machine-dependent, delivered/windows/crossings/final times are \
+     deterministic and asserted\",\n\
+    \    \"nodes\": 64, \"torus\": \"8x2\", \"frame_bytes\": 1024, \
+     \"workload\": \"all-to-all, closed loop, 20 us think\", \
+     \"msgs_per_node\": %d,\n\
+    \    \"lookahead_ns\": 20000, \"build_bytes_per_node\": %d, \
+     \"cores\": %d,\n\
+    \    \"points\": [\n"
+    r.sc_msgs r.sc_bytes_per_node r.sc_cores;
+  List.iteri
+    (fun i p ->
+      Printf.bprintf b
+        "    { \"domains\": %d, \"cores\": %d, \"wall_s\": %.3f, \
+         \"wall_1d_s\": %.3f, \"speedup\": %.2f, \"windows\": %d, \
+         \"crossings\": %d, \"delivered\": %d, \"final_sim_ms\": %.3f }%s\n"
+        p.domains r.sc_cores p.wall_s wall1 (wall1 /. p.wall_s) p.windows
+        p.crossed p.delivered p.final_ms
+        (if i = List.length r.sc_points - 1 then "" else ","))
+    r.sc_points;
+  Buffer.add_string b "  ] }";
+  Buffer.contents b
+
+(* ---------- standalone experiments ---------- *)
+
+(* Run [measure] with a failure-counting check, print its result, and
+   exit 1 if any check failed (the CI aliases run the smoke forms). *)
+let standalone ~name ~title measure print =
+  Bench_world.section title;
   let failures = ref 0 in
   let check what ok =
     if not ok then begin
@@ -368,10 +471,28 @@ let run ~smoke () =
       Printf.printf "  FAIL: %s\n" what
     end
   in
-  let r = measure ~smoke ~check () in
-  print r;
+  print (measure ~check);
   if !failures > 0 then begin
-    Printf.printf "  fleet: %d check(s) FAILED\n" !failures;
+    Printf.printf "  %s: %d check(s) FAILED\n" name !failures;
     exit 1
   end
-  else Printf.printf "  fleet: all deterministic checks passed\n"
+  else Printf.printf "  %s: all deterministic checks passed\n" name
+
+let run ~smoke () =
+  standalone ~name:"fleet"
+    ~title:
+      (if smoke then
+         "Fleet scale (smoke: 256 CABs, conservation + determinism + slab \
+          gates)"
+       else "Fleet scale: 256/512/1024 CABs x incast/all-to-all/hotspot")
+    (fun ~check -> measure ~smoke ~check ())
+    print
+
+let scaling ~smoke () =
+  standalone ~name:"scaling"
+    ~title:
+      (if smoke then "Parallel scaling (smoke: 1 and 2 domains, determinism \
+                      gates)"
+       else "Parallel scaling: 64-CAB torus over 1/2/4/8 domains")
+    (fun ~check -> measure_scaling ~smoke ~check ())
+    print_scaling

@@ -14,25 +14,11 @@ module Net = Nectar_hub.Network
 module Cab = Nectar_cab.Cab
 module Costs = Nectar_cab.Costs
 
-(* ---------- world builders ---------- *)
+module World = Nectar_fleet.World
+module Topology = Nectar_fleet.Topology
 
-(* A chain of [hubs] HUBs with one CAB on the first and one on the last. *)
-let chain_world ~hubs ?(msg_pool = false) ?stack_opts () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs () in
-  for h = 0 to hubs - 2 do
-    Net.connect_hubs net (h, 15) (h + 1, 14)
-  done;
-  let make hub port name =
-    let cab = Cab.create net ~hub ~port ~name in
-    let rt = Runtime.create ~msg_pool cab in
-    match stack_opts with
-    | Some f -> f rt
-    | None -> Stack.create rt ()
-  in
-  let a = make 0 0 "cab-first" in
-  let b = make (hubs - 1) 1 "cab-last" in
-  (eng, net, a, b)
+(* Two CABs on one HUB, the paper's testbed. *)
+let pair = [ (0, 0); (0, 1) ]
 
 let attach_host eng stack name =
   let host = Host.create eng ~name in
@@ -42,7 +28,12 @@ let attach_host eng stack name =
 (* ---------- ping ---------- *)
 
 let run_ping hubs count payload =
-  let eng, _, a, b = chain_world ~hubs () in
+  let w =
+    World.build ~trunks:(Topology.chain_trunks ~hubs)
+      ~seats:[ (0, 0); (hubs - 1, 1) ]
+      World.stack
+  in
+  let eng = w.eng and a = w.nodes.(0) and b = w.nodes.(1) in
   ignore
     (Thread.create (Runtime.cab a.Stack.rt) ~name:"ping" (fun ctx ->
          for i = 1 to count do
@@ -79,7 +70,8 @@ let transport_send proto ctx (s : Stack.t) ~dst_cab ~dst_port payload =
   | Rpc_p -> invalid_arg "rpc handled separately"
 
 let run_latency proto payload rounds host_level =
-  let eng, _, a, b = chain_world ~hubs:1 () in
+  let w = World.build ~seats:pair World.stack in
+  let eng = w.eng and a = w.nodes.(0) and b = w.nodes.(1) in
   let port = 900 in
   let samples = ref [] in
   let record t0 = samples := (Engine.now eng - t0) :: !samples in
@@ -214,12 +206,11 @@ let tproto_conv =
 
 let run_throughput tproto size total_kb =
   let checksum = tproto <> Tcp_nocksum_t in
-  let eng, _, a, b =
-    chain_world ~hubs:1
-      ~stack_opts:(fun rt ->
+  let w =
+    World.build ~seats:pair (fun rt ->
         Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
-      ()
   in
+  let eng = w.eng and a = w.nodes.(0) and b = w.nodes.(1) in
   let total = total_kb * 1024 in
   let k = max 1 (total / size) in
   let started = ref 0 and done_at = ref 0 in
@@ -424,7 +415,8 @@ let run_chaos seed only verbose =
 let run_trace_scenario ~iterations ~payload =
   (* message records pooled so the allocation-churn counters (msgpool
      hits/misses, slab free depth) show up in the metrics dump *)
-  let eng, net, a, b = chain_world ~hubs:1 ~msg_pool:true () in
+  let w = World.build ~msg_pool:true ~seats:pair World.stack in
+  let eng = w.eng and net = w.net and a = w.nodes.(0) and b = w.nodes.(1) in
   let port = 900 in
   let tracer = Trace.create eng in
   Trace.install tracer;
@@ -824,20 +816,26 @@ let run_check smoke only verbose =
 module Router = Nectar_route.Router
 module Policy = Nectar_route.Policy
 
-(* The same worlds the chaos campaigns use: a chain (one path per pair) or
-   a closed ring (two disjoint arcs per pair), two full stacks. *)
-let route_world ~ring ~hubs =
-  if ring then Chaos.build_ring ~hubs ~at:[ (0, 2); (hubs / 2, 2) ] ()
-  else Chaos.build_world ~hubs ~cabs:2 ()
+(* Two full stacks, seated as in the chaos campaigns: on a chain (one
+   path per pair) or a closed ring (two disjoint arcs per pair). *)
+let route_world ?(stack = World.stack) ~ring ~hubs () =
+  if ring then
+    World.build ~trunks:(Topology.ring_trunks ~hubs)
+      ~seats:[ (0, 2); (hubs / 2, 2) ]
+      stack
+  else
+    World.build ~trunks:(Topology.chain_trunks ~hubs)
+      ~seats:[ (0, 2); (1 mod hubs, 2 + (1 / hubs)) ]
+      stack
 
-let dump_tables w =
+let dump_tables (w : Stack.t World.t) =
   Array.iter
     (fun st ->
       let r = st.Stack.router in
       Printf.printf "node %d source-route table (generation %d):\n"
         (Stack.node_id st) (Router.generation r);
       List.iter (fun l -> Printf.printf "  %s\n" l) (Router.table_lines r))
-    w.Chaos.stacks
+    w.nodes
 
 (* The verifier gate: lawful policies must verify clean on both topology
    shapes, and planted unlawful ones — a looping pinned route and a
@@ -853,8 +851,8 @@ let run_route_verify ~hubs =
   in
   List.iter
     (fun (name, ring) ->
-      let w = route_world ~ring ~hubs in
-      let errs = Router.verify w.Chaos.stacks.(0).Stack.router in
+      let w = route_world ~ring ~hubs () in
+      let errs = Router.verify w.World.nodes.(0).Stack.router in
       gate (Printf.sprintf "default policy verifies on the %s" name) errs
         (errs = []))
     [ ("chain", false); ("ring", true) ];
@@ -862,17 +860,23 @@ let run_route_verify ~hubs =
      spines (fat tree) must verify just like the degenerate chains *)
   List.iter
     (fun (name, w) ->
-      let errs = Router.verify w.Chaos.stacks.(0).Stack.router in
+      let errs = Router.verify w.World.nodes.(0).Stack.router in
       gate (Printf.sprintf "default policy verifies on the %s" name) errs
         (errs = []))
     [
-      ("3x3 torus", Chaos.build_torus ~rows:3 ~cols:3 ~at:[ (0, 2); (4, 2) ] ());
+      ( "3x3 torus",
+        World.build
+          ~trunks:(Topology.torus_trunks ~rows:3 ~cols:3)
+          ~seats:[ (0, 2); (4, 2) ]
+          World.stack );
       ( "4-leaf fat tree",
-        Chaos.build_fat_tree ~leaves:4 ~spines:2 ~at:[ (0, 2); (3, 2) ] () );
+        World.build
+          ~trunks:(Topology.fat_tree_trunks ~leaves:4 ~spines:2)
+          ~seats:[ (0, 2); (3, 2) ]
+          World.stack );
     ];
-  let w = route_world ~ring:true ~hubs:4 in
-  let a = Stack.node_id w.Chaos.stacks.(0)
-  and b = Stack.node_id w.Chaos.stacks.(1) in
+  let w = route_world ~ring:true ~hubs:4 () in
+  let a = Stack.node_id w.nodes.(0) and b = Stack.node_id w.nodes.(1) in
   (* hub0 -14-> hub3 -15-> hub0 -14-> hub3 -14-> hub2 -2-> node b: walks
      to the destination over live ports, but revisits two HUBs *)
   let looping =
@@ -884,7 +888,7 @@ let run_route_verify ~hubs =
       };
     ]
   in
-  let errs = Router.verify (Router.create ~policy:looping w.Chaos.net) in
+  let errs = Router.verify (Router.create ~policy:looping w.net) in
   gate "planted looping Static route is rejected" errs
     (List.exists (function Router.Looping _ -> true | _ -> false) errs);
   (* avoiding both transit HUBs of the 4-ring leaves no path for a pair
@@ -898,7 +902,7 @@ let run_route_verify ~hubs =
       };
     ]
   in
-  let errs = Router.verify (Router.create ~policy:unreachable w.Chaos.net) in
+  let errs = Router.verify (Router.create ~policy:unreachable w.net) in
   gate "planted unreachable policy is rejected" errs
     (List.exists (function Router.Unreachable _ -> true | _ -> false) errs);
   !failures
@@ -908,12 +912,11 @@ let run_route_verify ~hubs =
    refusals, and the reconverged tables. *)
 let run_route_flaps ~hubs =
   let w =
-    Chaos.build_ring ~hubs
-      ~at:[ (0, 2); (hubs / 2, 2) ]
-      ~stack_opts:(fun rt -> Stack.create rt ~rmp_window:4 ())
+    route_world ~ring:true ~hubs
+      ~stack:(fun rt -> Stack.create rt ~rmp_window:4 ())
       ()
   in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let a = w.nodes.(0) and b = w.nodes.(1) in
   let gap = Sim_time.us 200 and bytes = 256 and cycles = 3 in
   let period = Sim_time.ms 8 and outage = Sim_time.ms 2 in
   let downs = List.init cycles (fun k -> Sim_time.ms 5 + (k * period)) in
@@ -942,7 +945,7 @@ let run_route_flaps ~hubs =
            let m = Mailbox.begin_get ctx inbox in
            Mailbox.end_get ctx m
          done));
-  let tracer = Trace.create w.Chaos.eng in
+  let tracer = Trace.create w.eng in
   Trace.install tracer;
   Fun.protect
     ~finally:(fun () -> Trace.uninstall ())
@@ -957,7 +960,7 @@ let run_route_flaps ~hubs =
                Engine.sleep ctx.Ctx.eng gap
              done;
              Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:950));
-      Engine.run w.Chaos.eng;
+      Engine.run w.eng;
       let deliveries = Trace.occurrences tracer "rmp.deliver" in
       let bound =
         Router.blackout_bound_ns a.Stack.router ~rto_ns:(Rmp.rto a.Stack.rmp)
@@ -1008,7 +1011,7 @@ let run_route ring hubs verify flaps =
          unreachable policies rejected\n"
   end
   else if flaps then run_route_flaps ~hubs
-  else dump_tables (route_world ~ring ~hubs)
+  else dump_tables (route_world ~ring ~hubs ())
 
 (* ---------- coll: CAB-resident collectives (lib/coll) ---------- *)
 

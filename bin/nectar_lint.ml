@@ -23,6 +23,10 @@
      and lib/hub — transports go through Router.lookup so routing policy
      and live link state apply (a "[Network.route]" doc reference is not
      flagged);
+   - no direct Network.create / Net.create in lib/ outside lib/hub and
+     lib/fleet — worlds are built by Fleet.World (or, partitioned, by
+     Fleet.Driver), so seat order and wiring live in one place.  The one
+     exception is named in [net_create_allowed_files] with its reason;
    - no mutable toplevel state in lib/sim or lib/core outside the
      whitelisted boundary modules: a column-0 [let x = ref ...] (or
      Atomic.make / Hashtbl.create / Array.make / Queue.create /
@@ -75,6 +79,7 @@ let pat_stdout_printers =
   ]
 
 let pats_net_route = [ "Network." ^ "route"; "Net." ^ "route" ]
+let pats_net_create = [ "Network." ^ "create"; "Net." ^ "create" ]
 
 (* qualified constructors matched by substring; the bare [ref] needs
    identifier boundaries *)
@@ -104,6 +109,12 @@ let toplevel_mutable_whitelist =
     "lib/core/message.ml";
   ]
 let route_allowed_dirs = [ "lib/route"; "lib/hub" ]
+let net_create_allowed_dirs = [ "lib/hub"; "lib/fleet" ]
+
+(* The partition-isolation audit builds a two-partition world by hand:
+   it needs a boundary trunk per partition and, in its planted variant, a
+   cross-partition alias that no World or Driver world can express. *)
+let net_create_allowed_files = [ "lib/check/scenarios.ml" ]
 let no_poly_compare_dirs = [ "lib/sim"; "lib/core" ]
 let obj_allowed_dir = "lib/check"
 let mli_required_dir = "lib"
@@ -122,6 +133,18 @@ let contains_unbracketed line pat =
   let rec at i =
     i + np <= nl
     && ((String.sub line i np = pat && (i = 0 || line.[i - 1] <> '['))
+       || at (i + 1))
+  in
+  np > 0 && at 0
+
+(* [pat] starting at an identifier boundary (so "Ethernet.create" does not
+   match "Net.create"), and not a "[pat]" doc reference. *)
+let contains_qualified line pat =
+  let nl = String.length line and np = String.length pat in
+  let rec at i =
+    i + np <= nl
+    && (String.sub line i np = pat
+        && (i = 0 || (line.[i - 1] <> '[' && not (is_ident_char line.[i - 1])))
        || at (i + 1))
   in
   np > 0 && at 0
@@ -192,6 +215,14 @@ let check_source path =
     && not
          (List.exists (fun d -> has_prefix (d ^ "/") path) route_allowed_dirs)
   in
+  let net_create_banned =
+    has_prefix (mli_required_dir ^ "/") path
+    && (not
+          (List.exists
+             (fun d -> has_prefix (d ^ "/") path)
+             net_create_allowed_dirs))
+    && not (List.mem path net_create_allowed_files)
+  in
   let toplevel_mutable_banned =
     Filename.check_suffix path ".ml"
     && List.exists (fun d -> has_prefix (d ^ "/") path) no_toplevel_mutable_dirs
@@ -245,6 +276,15 @@ let check_source path =
                ^ " outside lib/route: go through Router.lookup so routing \
                   policy and live link state apply"))
           pats_net_route;
+      if net_create_banned then
+        List.iter
+          (fun pat ->
+            if contains_qualified line pat then
+              flag path ln
+                ("direct " ^ pat
+               ^ " outside lib/hub and lib/fleet: build worlds with \
+                  Fleet.World so seat order stays in one place"))
+          pats_net_create;
       if toplevel_mutable_banned then
         (match toplevel_value_rhs line with
         | None -> ()

@@ -4,8 +4,10 @@
 # then the seeded chaos campaigns, the model-checking gate (schedule
 # explorer over the seeded-bug suite plus the node-isolation audit),
 # the failover gate (route-policy verifier plus the bounded-blackout
-# ring flap campaign), the parallel-engine gate (2-domain scaling
-# smoke with built-in determinism double-run, plus the heap-level
+# ring flap campaign), the parallel-engine gate (the scaling smoke, a
+# Fleet.Driver domain sweep at 1 and 2 domains gating delivery,
+# per-partition conservation, handoff balance, crossings, build
+# footprint and a determinism double-run, plus the heap-level
 # isolation audit of a partitioned world), the fleet-scale gate (a
 # 256-CAB incast world over 2 domains with conservation, determinism,
 # footprint and slab-allocator pins), the perf-harness smoke (its

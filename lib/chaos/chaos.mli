@@ -44,67 +44,11 @@ end
 
 (** {1 Worlds} *)
 
-type world = {
-  eng : Nectar_sim.Engine.t;
-  net : Nectar_hub.Network.t;
-  stacks : Nectar_proto.Stack.t array;
-  mutable drivers : (int * Nectar_host.Cab_driver.t) list;
-}
-
-val build_world :
-  ?hubs:int ->
-  ?cabs:int ->
-  ?msg_pool:bool ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A chain of [hubs] HUBs (default 1) with [cabs] full protocol stacks
-    (default 2) attached round-robin.  [msg_pool] (default false) gives
-    each runtime a {!Nectar_core.Message.Pool} so retired message records
-    recycle — the overflow campaigns assert drops retire to it. *)
-
-val build_ring :
-  hubs:int ->
-  at:(int * int) list ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A closed ring of [hubs] HUBs (>= 3; each trunk port 15 to the next
-    hub's 14) with one CAB per [(hub, port)] seat in [at].  Rings give
-    every pair two edge-disjoint trunk arcs — the topology failover
-    campaigns and benches use, where one trunk outage forces a reroute
-    instead of a partition. *)
-
-val build_torus :
-  rows:int ->
-  cols:int ->
-  at:(int * int) list ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A [rows] x [cols] (both >= 2) wrapped grid of HUBs; hub [(r, c)] is
-    index [r*cols + c], east trunks on ports 15->14, south trunks on
-    13->12, so node seats must use ports below 12.  Constant trunk
-    degree 4 — the scaling bench's fleet shape, partitioning into
-    contiguous row blocks with exactly [2*cols] boundary trunks per
-    cut. *)
-
-val build_fat_tree :
-  leaves:int ->
-  spines:int ->
-  at:(int * int) list ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A two-level fat tree: [leaves] edge HUBs (indices [0..leaves-1])
-    each trunked to all [spines] core HUBs (indices [leaves..]); leaf
-    [l] reaches spine [s] on port [15-s] (into spine port [15-l]).
-    Node seats must sit on leaf hubs at ports [<= 15-spines].  Every
-    leaf pair gets [spines] edge-disjoint two-hop paths — the
-    multipath fan the route verifier exercises. *)
+type world = Nectar_proto.Stack.t Nectar_fleet.World.t
+(** Campaign worlds are {!Nectar_fleet.World} stack worlds. *)
 
 val add_host : world -> int -> Nectar_host.Cab_driver.t
-(** Attach a host to the CAB at stack index [i] (required before a
+(** Attach a host to the CAB at node index [i] (required before a
     [Vme_errors] step can name it). *)
 
 val install : world -> Plan.t -> unit

@@ -3,12 +3,12 @@ module Sim_time = Nectar_sim.Sim_time
 module Waitq = Nectar_sim.Waitq
 module Net = Nectar_hub.Network
 module Frame = Nectar_hub.Frame
-module Cab = Nectar_cab.Cab
 module Runtime = Nectar_core.Runtime
 module Mailbox = Nectar_core.Mailbox
 module Message = Nectar_core.Message
 module Thread = Nectar_core.Thread
 module Stack = Nectar_proto.Stack
+module World = Nectar_fleet.World
 module Dgram = Nectar_proto.Dgram
 module Rmp = Nectar_proto.Rmp
 module Tcp = Nectar_proto.Tcp
@@ -338,10 +338,9 @@ let stale_route ~buggy () =
    threads terminate — in every interleaving, under the vet sanitizers. *)
 
 let mailbox_interrupt () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let cab = Cab.create net ~hub:0 ~port:0 ~name:"cab-a" in
-  let rt = Runtime.create cab in
+  let w = World.build ~seats:[ (0, 0) ] Fun.id in
+  let eng = w.eng and rt = w.nodes.(0) in
+  let cab = Runtime.cab rt in
   let mb = Runtime.create_mailbox rt ~name:"inbox" ~port:700 () in
   let delivered = ref [] in
   let irq_drops = ref 0 in
@@ -428,22 +427,15 @@ let mailbox_interrupt () =
 (* ------------------------------------------------------------------ *)
 (* Protocol worlds *)
 
-let two_node_world () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let mk port name =
-    Stack.create (Runtime.create (Cab.create net ~hub:0 ~port ~name)) ()
-  in
-  let a = mk 0 "cab-a" in
-  let b = mk 1 "cab-b" in
-  (eng, net, a, b)
+let two_nodes = [ (0, 0); (0, 1) ]
 
 (* RMP retransmit under a dropped data frame: the fault hook eats the
    first frame big enough to be the data frame, forcing the
    retransmission path; in every interleaving the receiver must get the
    payload exactly once and the sender must not count a failure. *)
 let rmp_drop () =
-  let eng, net, a, b = two_node_world () in
+  let w = World.build ~seats:two_nodes World.stack in
+  let eng = w.eng and net = w.net and a = w.nodes.(0) and b = w.nodes.(1) in
   let payload = String.make 64 'r' in
   let port = 910 in
   let inbox = Runtime.create_mailbox b.Stack.rt ~name:"rmp-in" ~port () in
@@ -505,7 +497,8 @@ let rmp_drop () =
    stack keeps timers armed.  Established + payload received in every
    interleaving of the handshake's same-time events. *)
 let tcp_handshake () =
-  let eng, _net, a, b = two_node_world () in
+  let w = World.build ~seats:two_nodes World.stack in
+  let eng = w.eng and a = w.nodes.(0) and b = w.nodes.(1) in
   let received = ref [] in
   let client_done = ref false in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
@@ -694,7 +687,8 @@ let run_datagram_traffic eng a b =
   assert (!got = 4)
 
 let audit_world ~plant () =
-  let eng, net, a, b = two_node_world () in
+  let w = World.build ~seats:two_nodes World.stack in
+  let eng = w.eng and net = w.net and a = w.nodes.(0) and b = w.nodes.(1) in
   run_datagram_traffic eng a b;
   (match plant with
   | `Nothing -> ()

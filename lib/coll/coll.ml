@@ -557,29 +557,20 @@ module World = struct
     let topo = Topology.build spec in
     let root = Option.value root ~default:0 in
     let tree = Tree.of_topology topo ~root in
-    let eng = Engine.create () in
-    let net = Net.create eng ~hubs:(Topology.hub_count topo) () in
-    Topology.wire net topo;
-    let router =
-      Nectar_route.Router.create ~policy:(Topology.policy topo) net
-    in
-    let nodes = Topology.node_count topo in
     (* The host-driven baseline is an n-to-1 incast at the root: every
        ack rides behind the root's serialized receive path, so the
        stop-and-wait RTO must scale with the fan-in or the fleet's
        retransmissions amplify the pile-up into timeouts. *)
-    let rmp_rto = Sim_time.us (Stdlib.max 5_000 (250 * nodes)) in
-    let stacks =
-      Array.init nodes (fun n ->
-          let hub, seat = Topology.attachment topo n in
-          let cab =
-            Cab.create ~data_bytes net ~hub ~port:seat
-              ~name:(Printf.sprintf "cl%d" n)
-          in
-          Stack.create (Runtime.create cab) ~router ~rmp_rto ())
+    let rmp_rto =
+      Sim_time.us (Stdlib.max 5_000 (250 * Topology.node_count topo))
     in
+    let w =
+      Nectar_fleet.World.of_topology ~data_bytes topo (fun router rt ->
+          Stack.create rt ~router ~rmp_rto ())
+    in
+    let stacks = w.Nectar_fleet.World.nodes in
     let colls =
       Array.map (fun s -> attach ?combine ?host_service_ns s ~tree) stacks
     in
-    { eng; net; topo; tree; stacks; colls }
+    { eng = w.eng; net = w.net; topo; tree; stacks; colls }
 end

@@ -68,8 +68,7 @@ type handoff = {
    (torus row blocks: hub numbering is row-major, so a row block is an
    id range).  Trunks with both ends local are wired as usual; trunks
    crossing the cut become store-and-forward remote links carrying the
-   far-end global hub as the link id — the same scheme as the scaling
-   bench, generalized to any trunk list. *)
+   far-end global hub as the link id. *)
 let build_partition cfg topo ~self ~send =
   let hubs = Topology.hub_count topo in
   let nodes = Topology.node_count topo in

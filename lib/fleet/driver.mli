@@ -6,8 +6,8 @@
     stamp survives the boundary-trunk payload snapshot), so delivery
     latency needs no side table; per-source delivered counts and
     completion times give the goodput fairness spread.
-    Partitioning follows the scaling bench: torus row
-    blocks with cut-crossing trunks as store-and-forward remote links
+    Partitioning cuts the torus into contiguous row
+    blocks, with cut-crossing trunks as store-and-forward remote links
     whose latency is exactly the lookahead.  Fat-tree and irregular
     fleets have no contiguous cuts and run single-domain (still through
     [Parallel.run], on the code path the paper tables pin).

@@ -69,9 +69,8 @@ let to_string ?nodes s =
         (s.pending_events / n) (s.mailbox_bytes / n)
   | _ -> base
 
-(* Same idiom as the scaling bench's mem_bytes_per_node: the live-word
-   delta across a full major collection brackets the world's retained
-   size, excluding whatever was live before the build. *)
+(* The live-word delta across a full major collection brackets the
+   world's retained size, excluding whatever was live before the build. *)
 let build_bytes_per_node ~nodes f =
   if nodes <= 0 then invalid_arg "Footprint: nodes must be positive";
   (* compact (not just full_major) so heap chunks adopted from finished

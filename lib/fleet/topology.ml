@@ -1,4 +1,3 @@
-module Net = Nectar_hub.Network
 module Policy = Nectar_route.Policy
 module Rng = Nectar_sim.Rng
 
@@ -34,11 +33,20 @@ let seats_of = function
   | Torus { seats; _ } | Fat_tree { seats; _ } | Irregular { seats; _ } ->
       seats
 
-(* ---------- trunk wiring, shared with the Chaos builders ---------- *)
+(* ---------- trunk lists ---------- *)
+
+(* Chains and rings run east on port 15 into the next hub's 14. *)
+let chain_trunks ~hubs =
+  if hubs < 1 then invalid_arg "Topology.chain_trunks: need >= 1 hub";
+  List.init (hubs - 1) (fun h -> ((h, 15), (h + 1, 14)))
+
+let ring_trunks ~hubs =
+  if hubs < 3 then invalid_arg "Topology.ring_trunks: a ring needs >= 3 hubs";
+  List.init hubs (fun h -> ((h, 15), ((h + 1) mod hubs, 14)))
 
 (* East trunks leave on port 15 into the eastern neighbour's 14, south
-   trunks on 13 into the southern neighbour's 12 (the scaling-bench
-   convention [Policy.Ecube] routes over).  Dimensions of size < 2 wire
+   trunks on 13 into the southern neighbour's 12 (the convention
+   [Policy.Ecube] routes over).  Dimensions of size < 2 wire
    no trunks rather than a self-loop. *)
 let torus_trunks ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Topology.torus_trunks: empty grid";
@@ -190,22 +198,12 @@ let build = function
   | Irregular { hubs; degree; seed; seats } ->
       build_irregular ~hubs ~degree ~seed ~seats
 
-let wire net t =
-  List.iter (fun (a, b) -> Net.connect_hubs net a b) t.ttrunks
-
 (* ---------- node placement ---------- *)
 
 let attachment t node =
   if node < 0 || node >= t.tnodes then invalid_arg "Topology: bad node id";
   let seats = seats_of t.tspec in
   (node / seats, node mod seats)
-
-let attach_all t net sink_for =
-  for n = 0 to t.tnodes - 1 do
-    let hub, port = attachment t n in
-    let id = Net.attach_node net ~hub ~port (sink_for n) in
-    if id <> n then invalid_arg "Topology.attach_all: non-empty network"
-  done
 
 (* ---------- deadlock-safe source routes ---------- *)
 

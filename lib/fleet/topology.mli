@@ -30,9 +30,8 @@
     descend — every circuit crosses child-to-parent edges strictly before
     parent-to-child edges, the same two-class argument).  BFS-shortest
     routes are {e not} safe on the torus (wrap rings of concurrent
-    circuits deadlock; [bench/scaling.ml] documents the hang). *)
+    circuits deadlock; {!Nectar_route.Policy.Ecube} records the hang). *)
 
-module Net = Nectar_hub.Network
 module Policy = Nectar_route.Policy
 
 type spec =
@@ -63,20 +62,9 @@ val node_count : t -> int
 
 val trunks : t -> trunk list
 
-val wire : Net.t -> t -> unit
-(** Connect every trunk on a freshly created network of {!hub_count}
-    HUBs.  Node attachment is separate (see {!attach_all}) so callers
-    with their own seat plans — the Chaos builders — can share the trunk
-    wiring. *)
-
 val attachment : t -> int -> int * int
 (** [(hub, port)] seat of a node: node [n] sits at hub [n / seats], port
     [n mod seats]. *)
-
-val attach_all : t -> Net.t -> (int -> Net.sink) -> unit
-(** Attach all {!node_count} nodes at their {!attachment} seats, in node
-    order, on a network with no nodes yet (so network node ids equal
-    fleet node ids). *)
 
 val route : t -> src:int -> dst:int -> int list
 (** Deadlock-safe source route (one output port per HUB, ending with the
@@ -108,7 +96,20 @@ val spanning_tree : t -> root:int -> int array
     on the torus, at most one spine crossing on the fat tree.
     @raise Invalid_argument on a bad root or a disconnected trunk list. *)
 
-(** {1 Trunk lists, shared with the Chaos builders} *)
+(** {1 Trunk lists}
+
+    The fabric shapes as plain trunk lists, for {!World.build} worlds
+    with their own seat plans.  Chains and rings run east on port 15
+    into the next hub's port 14. *)
+
+val chain_trunks : hubs:int -> trunk list
+(** [hubs - 1] trunks joining hub [h] to hub [h+1]; empty for one hub.
+    @raise Invalid_argument if [hubs < 1]. *)
+
+val ring_trunks : hubs:int -> trunk list
+(** The chain closed by a trunk from the last hub back to hub 0, giving
+    every hub pair two edge-disjoint arcs.
+    @raise Invalid_argument if [hubs < 3]. *)
 
 val torus_trunks : rows:int -> cols:int -> trunk list
 val fat_tree_trunks : leaves:int -> spines:int -> trunk list

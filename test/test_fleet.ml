@@ -14,6 +14,8 @@ module Topology = Nectar_fleet.Topology
 module Workload = Nectar_fleet.Workload
 module Driver = Nectar_fleet.Driver
 module Footprint = Nectar_fleet.Footprint
+module World = Nectar_fleet.World
+module Stack = Nectar_proto.Stack
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -200,19 +202,6 @@ let test_irregular_seeds () =
 
 (* ---------- verifier acceptance ---------- *)
 
-let null_sink eng name =
-  let fifo = Byte_fifo.create eng ~capacity:4096 ~name in
-  {
-    Net.in_fifo = fifo;
-    on_frame_start = (fun _ -> ());
-    on_chunk =
-      (fun frame ~arrived:_ ~last ->
-        if last then begin
-          ignore (Byte_fifo.try_pop fifo (Frame.length frame));
-          Frame.release frame
-        end);
-  }
-
 (* Every generated policy must pass the route verifier (reachability,
    loop freedom, no stale routes) on its own fabric, and the compiled
    lookups must agree with the generator's own routes where the policy
@@ -221,12 +210,8 @@ let test_policies_verify () =
   List.iter
     (fun (name, spec, pinned) ->
       let topo = Topology.build spec in
-      let eng = Engine.create () in
-      let net = Net.create eng ~hubs:(Topology.hub_count topo) () in
-      Topology.wire net topo;
-      Topology.attach_all topo net (fun n ->
-          null_sink eng (Printf.sprintf "%s%d" name n));
-      let r = Router.create ~policy:(Topology.policy topo) net in
+      let w = World.of_topology topo (fun router _ -> router) in
+      let r = w.World.nodes.(0) in
       let errs = Router.verify r in
       List.iter
         (fun e -> Printf.printf "  %s: %s\n" name (Router.string_of_error e))
@@ -249,6 +234,84 @@ let test_policies_verify () =
         Topology.Irregular { hubs = 6; degree = 3; seed = 7; seats = 1 },
         true );
     ]
+
+(* ---------- stack-level worlds ---------- *)
+
+(* Route tables of World stack worlds on each trunk-list shape, pinned to
+   the lines the per-shape chaos builders produced before World replaced
+   them: same trunk order, same seats, same shortest-path routes.  Every
+   stack's router computes the same global table, so node 0's stands for
+   all of them. *)
+let test_world_tables_pinned () =
+  List.iter
+    (fun (name, trunks, seats, want) ->
+      let w = World.build ~trunks ~seats World.stack in
+      Alcotest.(check (list string))
+        (name ^ " route table") want
+        (Router.table_lines w.World.nodes.(0).Stack.router))
+    [
+      ( "chain",
+        Topology.chain_trunks ~hubs:3,
+        [ (0, 2); (1, 2); (2, 2) ],
+        [
+          "0 -> 1 proto 0: [15;2]";
+          "0 -> 2 proto 0: [15;15;2]";
+          "1 -> 0 proto 0: [14;2]";
+          "1 -> 2 proto 0: [15;2]";
+          "2 -> 0 proto 0: [14;14;2]";
+          "2 -> 1 proto 0: [14;2]";
+        ] );
+      ( "ring",
+        Topology.ring_trunks ~hubs:4,
+        [ (0, 2); (1, 2); (2, 2); (3, 2) ],
+        [
+          "0 -> 1 proto 0: [15;2]";
+          "0 -> 2 proto 0: [14;14;2]";
+          "0 -> 3 proto 0: [14;2]";
+          "1 -> 0 proto 0: [14;2]";
+          "1 -> 2 proto 0: [15;2]";
+          "1 -> 3 proto 0: [14;14;2]";
+          "2 -> 0 proto 0: [14;14;2]";
+          "2 -> 1 proto 0: [14;2]";
+          "2 -> 3 proto 0: [15;2]";
+          "3 -> 0 proto 0: [15;2]";
+          "3 -> 1 proto 0: [14;14;2]";
+          "3 -> 2 proto 0: [14;2]";
+        ] );
+      ( "3x3 torus",
+        Topology.torus_trunks ~rows:3 ~cols:3,
+        [ (0, 2); (4, 2); (8, 3) ],
+        [
+          "0 -> 1 proto 0: [13;15;2]";
+          "0 -> 2 proto 0: [12;14;3]";
+          "1 -> 0 proto 0: [12;14;2]";
+          "1 -> 2 proto 0: [13;15;3]";
+          "2 -> 0 proto 0: [13;15;2]";
+          "2 -> 1 proto 0: [12;14;2]";
+        ] );
+      ( "4-leaf fat tree",
+        Topology.fat_tree_trunks ~leaves:4 ~spines:2,
+        [ (0, 2); (3, 2); (1, 0) ],
+        [
+          "0 -> 1 proto 0: [14;12;2]";
+          "0 -> 2 proto 0: [14;14;0]";
+          "1 -> 0 proto 0: [14;15;2]";
+          "1 -> 2 proto 0: [14;14;0]";
+          "2 -> 0 proto 0: [14;15;2]";
+          "2 -> 1 proto 0: [14;12;2]";
+        ] );
+    ]
+
+let test_world_rejects_bad_shapes () =
+  Alcotest.check_raises "seat on a trunk port"
+    (Invalid_argument "Network.attach_node: port in use") (fun () ->
+      ignore
+        (World.build ~trunks:(Topology.chain_trunks ~hubs:2)
+           ~seats:[ (0, 2); (1, 14) ]
+           World.stack));
+  Alcotest.check_raises "ring of two hubs"
+    (Invalid_argument "Topology.ring_trunks: a ring needs >= 3 hubs")
+    (fun () -> ignore (Topology.ring_trunks ~hubs:2))
 
 (* ---------- workloads ---------- *)
 
@@ -513,6 +576,13 @@ let () =
             test_irregular_seeds;
           Alcotest.test_case "policies pass the verifier" `Quick
             test_policies_verify;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "route tables pinned per shape" `Quick
+            test_world_tables_pinned;
+          Alcotest.test_case "bad seats and rings rejected" `Quick
+            test_world_rejects_bad_shapes;
         ] );
       ( "workload",
         [

@@ -128,7 +128,7 @@ let run_point ~check ~determinism (c : Driver.config) =
    a built 256-CAB fleet world (BENCH_perf.json "fleet_scale").  Gated at
    1.5x so allocator or world-build regressions fail CI without making
    the gate machine-sensitive. *)
-let recorded_bytes_per_node = 1_670
+let recorded_bytes_per_node = 1_558
 
 let bytes_per_node_gate ~check ~smoke =
   let c = cfg ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:1 ~event_pool:false in
@@ -150,8 +150,8 @@ let bytes_per_node_gate ~check ~smoke =
    simulator's own cost per message (context switches, events, records);
    the counts are exact for a given compiler, and the 1.05x ceiling fails
    CI on any allocation regression worth a benchmark's bound. *)
-let recorded_fleet_words_per_msg = 729
-let recorded_rmp_words_per_msg = 4_327
+let recorded_fleet_words_per_msg = 561
+let recorded_rmp_words_per_msg = 3_154
 
 let words_gate ~check what ~recorded w =
   check

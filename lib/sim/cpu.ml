@@ -156,7 +156,7 @@ let consume t owner ~priority ?(atomic = false) span =
   if span < 0 then invalid_arg "Cpu.consume: negative span";
   if span = 0 then ()
   else
-    Engine.suspend (fun resume ->
+    Engine.suspend_unit (fun resume ->
         let req =
           {
             req_owner = owner;

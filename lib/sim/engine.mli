@@ -10,7 +10,12 @@
     increasing sequence number breaks ties), and nothing in the engine draws
     randomness, so a simulation is a pure function of its inputs.  The
     tie-break is a pluggable policy (see {!set_tie_break}); every paper
-    table is produced with the default policy. *)
+    table is produced with the default policy.
+
+    Process resumptions, yields and process starts are scheduled at the
+    current time; they wait on a FIFO ring beside the event heap instead
+    of in it, which changes nothing observable: every query below counts
+    them, and the firing order is the same (time, sequence) order. *)
 
 type t
 
@@ -63,6 +68,10 @@ val suspend : ((('a -> unit) -> unit)) -> 'a
     to continue with value [v] at the then-current simulated time.  Must be
     called from within a process. *)
 
+val suspend_unit : ((unit -> unit) -> unit) -> unit
+(** {!suspend} for a unit resume, on a path that allocates less: the
+    blocking primitives of this library use it.  Same contract. *)
+
 val sleep : t -> Sim_time.span -> unit
 (** Block the calling process for a simulated duration. *)
 
@@ -98,7 +107,8 @@ val set_tie_break : t -> tie_break option -> unit
 (** Install ([Some]) or remove ([None]) the policy.  Must be set before
     {!run}; the run loop commits to one mode on entry.  [None] (the
     default) is the seq-order contract above, on the zero-overhead hot
-    path. *)
+    path.  While a policy is installed, every pending event is in the heap
+    and reaches the policy as a candidate with its label. *)
 
 val pending_digest : t -> int
 (** Order-independent hash of the live pending-event set (times and labels,
@@ -109,8 +119,9 @@ val pending_digest : t -> int
 
 val run : ?until:Sim_time.t -> t -> unit
 (** Drain the event queue (or stop once the next event lies beyond [until],
-    setting the clock to [until]).  Processes still blocked at quiescence
-    simply never resume — this is normal for server-style processes. *)
+    setting the clock to [until] if that is later than now; the clock
+    never moves back).  Processes still blocked at quiescence simply never
+    resume — this is normal for server-style processes. *)
 
 val pending_events : t -> int
 (** Live (not-cancelled) events still scheduled.  O(1). *)
@@ -122,23 +133,23 @@ val next_event_time : t -> Sim_time.t option
     entries off the heap top, as the run loop would). *)
 
 val queued_events : t -> int
-(** Physical size of the event heap, including cancelled entries awaiting
-    lazy removal.  The engine compacts when cancelled entries outnumber
-    live ones, so this stays within 2x of {!pending_events} (above a small
-    constant threshold); exposed so tests can assert the bound. *)
+(** Physical size of the event queue (heap and ready ring), including
+    cancelled entries awaiting lazy removal.  The engine compacts when
+    cancelled entries outnumber live ones, so this stays within 2x of
+    {!pending_events} (above a small constant threshold); exposed so tests
+    can assert the bound. *)
 
 (** {1 Event slab pool}
 
-    Transient events — sleep/yield wake-ups and process start/resume
-    events, whose handles never escape the engine — account for most event
-    allocations in message-heavy workloads.  With the pool enabled, fired
-    transient events are recycled through a typed free list instead of
-    being re-allocated; cancellable timers returned by {!at}/{!after} are
-    never pooled (their handles escape, so reuse could alias a held
-    {!timer}).  Pooling changes no observable behaviour: event times,
-    sequence numbers, labels and firing order are identical with the pool
-    on or off — the seed pin tests assert byte-identical runs both ways.
-    Disabled by default ([max_free = 0]). *)
+    Sleep wake-ups are transient events — their handles never escape the
+    engine — and, unlike the ready ring's entries, need an event record in
+    the heap.  With the pool enabled, fired transient events are recycled
+    through a typed free list instead of being re-allocated; cancellable
+    timers returned by {!at}/{!after} are never pooled (their handles
+    escape, so reuse could alias a held {!timer}).  Pooling changes no
+    observable behaviour: event times, sequence numbers, labels and firing
+    order are identical with the pool on or off — the seed pin tests assert
+    byte-identical runs both ways.  Disabled by default ([max_free = 0]). *)
 
 val set_event_pool : t -> max_free:int -> unit
 (** Cap the free list at [max_free] recycled event records (0 disables

@@ -1,44 +1,73 @@
-type entry = { mutable live : bool; mutable wake : unit -> unit }
+(* An intrusive FIFO: one block per wait, linked through [next].  [Nil] is
+   a constant, not a heap block, so the list needs no sentinel record.  An
+   entry stays queued after it dies — its timeout fired — until [signal]
+   skips it; [live] counts the rest, so [waiters] is O(1). *)
+type link =
+  | Nil
+  | Waiter of {
+      mutable alive : bool;
+      mutable wake : unit -> unit;
+      mutable next : link;
+    }
 
-type t = { eng : Engine.t; entries : entry Queue.t; mutable name : string }
+type t = {
+  eng : Engine.t;
+  mutable head : link;
+  mutable tail : link;
+  mutable live : int;
+  mutable name : string;
+}
 
-let create eng ?(name = "waitq") () = { eng; entries = Queue.create (); name }
+let create eng ?(name = "waitq") () =
+  { eng; head = Nil; tail = Nil; live = 0; name }
 
-let wait t =
-  Engine.suspend (fun resume ->
-      Queue.add { live = true; wake = resume } t.entries)
+let enqueue t wake =
+  let e = Waiter { alive = true; wake; next = Nil } in
+  (match t.tail with Nil -> t.head <- e | Waiter last -> last.next <- e);
+  t.tail <- e;
+  t.live <- t.live + 1;
+  e
+
+(* Mark [e] woken or timed out; false if it already was. *)
+let retire t = function
+  | Waiter w when w.alive ->
+      w.alive <- false;
+      t.live <- t.live - 1;
+      true
+  | _ -> false
+
+let wait t = Engine.suspend_unit (fun resume -> ignore (enqueue t resume))
 
 let wait_releasing t ~release =
-  Engine.suspend (fun resume ->
-      Queue.add { live = true; wake = resume } t.entries;
+  Engine.suspend_unit (fun resume ->
+      ignore (enqueue t resume);
       release ())
 
 let wait_timeout_releasing t ~release span =
   Engine.suspend (fun resume ->
-      let e = { live = true; wake = (fun () -> ()) } in
+      let e = enqueue t ignore in
       let tm =
-        Engine.after t.eng span (fun () ->
-            if e.live then begin
-              e.live <- false;
-              resume `Timeout
-            end)
+        Engine.after t.eng span (fun () -> if retire t e then resume `Timeout)
       in
-      e.wake <-
-        (fun () ->
-          Engine.cancel tm;
-          resume `Signaled);
-      Queue.add e t.entries;
+      (match e with
+      | Waiter w ->
+          w.wake <-
+            (fun () ->
+              Engine.cancel tm;
+              resume `Signaled)
+      | Nil -> ());
       release ())
 
 let wait_timeout t span = wait_timeout_releasing t ~release:(fun () -> ()) span
 
 let rec signal t =
-  match Queue.take_opt t.entries with
-  | None -> false
-  | Some e ->
-      if e.live then begin
-        e.live <- false;
-        e.wake ();
+  match t.head with
+  | Nil -> false
+  | Waiter w as e ->
+      t.head <- w.next;
+      if t.head == Nil then t.tail <- Nil;
+      if retire t e then begin
+        w.wake ();
         true
       end
       else signal t
@@ -50,5 +79,4 @@ let broadcast t =
   done;
   !n
 
-let waiters t =
-  Queue.fold (fun acc e -> if e.live then acc + 1 else acc) 0 t.entries
+let waiters t = t.live

@@ -117,6 +117,254 @@ let test_double_resume_raises () =
   Engine.run eng;
   check_int "both suspensions resumed once" 2 !rounds
 
+(* The unit suspension path keeps both checks. *)
+let test_double_resume_unit_raises () =
+  let eng = Engine.create () in
+  let first = ref (fun () -> ()) and second = ref (fun () -> ()) in
+  let rounds = ref 0 in
+  Engine.spawn eng ~name:"victim" (fun () ->
+      Engine.suspend_unit (fun resume -> first := resume);
+      incr rounds;
+      Engine.suspend_unit (fun resume -> second := resume);
+      incr rounds);
+  let double = Failure "Engine: double resume of process victim" in
+  ignore
+    (Engine.after eng (us 1) (fun () ->
+         !first ();
+         Alcotest.check_raises "second resume of one suspension" double
+           (fun () -> !first ())));
+  ignore
+    (Engine.after eng (us 2) (fun () ->
+         Alcotest.check_raises "stale resume after a new suspension" double
+           (fun () -> !first ());
+         !second ()));
+  Engine.run eng;
+  check_int "both suspensions resumed once" 2 !rounds
+
+(* [run ~until] never moves the clock back: a bound below now stops the
+   run where it is, and [at] keeps refusing the past. *)
+let test_run_until_never_rewinds () =
+  List.iter
+    (fun policy ->
+      let eng = Engine.create () in
+      Engine.set_tie_break eng policy;
+      let fired = ref false in
+      ignore (Engine.at eng 300 (fun () -> fired := true));
+      Engine.run ~until:200 eng;
+      check_int "parked at the bound" 200 (Engine.now eng);
+      Engine.run ~until:100 eng;
+      check_int "an earlier bound leaves the clock" 200 (Engine.now eng);
+      Alcotest.check_raises "the past stays closed"
+        (Invalid_argument "Engine.at: time 150 before now 200") (fun () ->
+          ignore (Engine.at eng 150 ignore));
+      Engine.run eng;
+      Alcotest.(check bool) "pending event still fires" true !fired;
+      check_int "at its own time" 300 (Engine.now eng))
+    [ None; Some (fun _ -> 0) ]
+
+(* Processes of one name share one "<name>.wake" string — interrupt
+   handlers run as a fresh process per interrupt, all named alike — and
+   tie-break policies still read it. *)
+let test_wake_label_shared_by_name () =
+  let eng = Engine.create () in
+  let wakes = ref [] in
+  Engine.set_tie_break eng
+    (Some
+       (fun cands ->
+         (* the first choice at 5 us is between the two wake-ups *)
+         if !wakes = [] && cands.(0).Engine.c_time = us 5 then
+           wakes := Array.to_list (Array.map (fun c -> c.Engine.c_label) cands);
+         0));
+  for _ = 1 to 2 do
+    (* equal names, distinct strings *)
+    Engine.spawn eng ~name:(String.make 1 'i' ^ "rq") (fun () ->
+        Engine.sleep eng (us 5))
+  done;
+  Engine.run eng;
+  match !wakes with
+  | [ a; b ] ->
+      Alcotest.(check string) "label" "irq.wake" a;
+      Alcotest.(check bool) "one string for both" true (a == b)
+  | l -> Alcotest.failf "expected two wake candidates, saw %d" (List.length l)
+
+(* ---------- ready ring against the heap ---------- *)
+
+let logger eng =
+  let log = ref [] in
+  let note s = log := (s, Engine.now eng) :: !log in
+  (log, note)
+
+(* Ring entries (process starts, resumptions) and [at]-now heap events
+   fire in one seq order. *)
+let test_ring_interleaves_at_now () =
+  let run policy =
+    let eng = Engine.create () in
+    let log, note = logger eng in
+    ignore (Engine.at eng (us 5) (fun () ->
+        Engine.spawn eng ~name:"a" (fun () ->
+            note "a1";
+            ignore (Engine.at eng (Engine.now eng) (fun () -> note "t2"));
+            Engine.yield eng;
+            note "a2");
+        ignore (Engine.at eng (Engine.now eng) (fun () -> note "t1"));
+        Engine.spawn eng ~name:"b" (fun () -> note "b1")));
+    Engine.set_tie_break eng policy;
+    Engine.run eng;
+    List.rev !log
+  in
+  let expect =
+    [ ("a1", us 5); ("t1", us 5); ("b1", us 5); ("t2", us 5); ("a2", us 5) ]
+  in
+  Alcotest.(check (list (pair string int))) "seq order" expect (run None);
+  Alcotest.(check (list (pair string int)))
+    "same under the identity policy" expect
+    (run (Some (fun _ -> 0)))
+
+(* A ring entry cancels an [at]-now event queued behind it. *)
+let test_ring_cancels_at_now () =
+  let eng = Engine.create () in
+  let log, note = logger eng in
+  let tm = ref (Engine.inert_timer ()) in
+  Engine.spawn eng ~name:"a" (fun () ->
+      Engine.cancel !tm;
+      note "a");
+  tm := Engine.at eng 0 (fun () -> note "cancelled");
+  Engine.spawn eng ~name:"b" (fun () ->
+      note "b";
+      Engine.yield eng;
+      note "b2");
+  check_int "two ring entries and one timer pending" 3
+    (Engine.pending_events eng);
+  check_int "queued counts the ring" 3 (Engine.queued_events eng);
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "cancelled event silent" [ ("a", 0); ("b", 0); ("b2", 0) ] (List.rev !log);
+  check_int "nothing pending" 0 (Engine.pending_events eng)
+
+let test_run_until_with_ring () =
+  let eng = Engine.create () in
+  let log, note = logger eng in
+  Engine.spawn eng ~name:"a" (fun () ->
+      note "a";
+      Engine.yield eng;
+      note "a2";
+      Engine.sleep eng (us 10);
+      note "a3");
+  Engine.run ~until:0 eng;
+  Alcotest.(check (list (pair string int)))
+    "ring entries at the bound fire" [ ("a", 0); ("a2", 0) ] (List.rev !log);
+  check_int "the sleep is left" 1 (Engine.pending_events eng);
+  Engine.run ~until:(us 5) eng;
+  check_int "clock at the bound" (us 5) (Engine.now eng);
+  Engine.spawn eng ~name:"c" (fun () -> note "c");
+  Engine.run ~until:(us 3) eng;
+  check_int "a bound before now fires nothing" 2 (Engine.pending_events eng);
+  check_int "and keeps the clock" (us 5) (Engine.now eng);
+  Alcotest.(check (option int))
+    "the ring is next" (Some (us 5)) (Engine.next_event_time eng);
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "rest in order"
+    [ ("a", 0); ("a2", 0); ("c", us 5); ("a3", us 10) ]
+    (List.rev !log)
+
+(* Random process programs log the same (label, time) sequence and end at
+   the same time on the default loop (ring and heap) as under the
+   identity policy (heap only). *)
+type op =
+  | Sleep of int
+  | Yield
+  | Wait of int
+  | Signal of int
+  | Timer of int * int (* fires after [d], signals queue [q] *)
+  | Cancel (* the process's latest timer *)
+  | Consume of int * int (* priority, span *)
+  | Spawn of op list
+
+let show_op = function
+  | Sleep d -> Printf.sprintf "Sleep %d" d
+  | Yield -> "Yield"
+  | Wait q -> Printf.sprintf "Wait %d" q
+  | Signal q -> Printf.sprintf "Signal %d" q
+  | Timer (d, q) -> Printf.sprintf "Timer (%d, %d)" d q
+  | Cancel -> "Cancel"
+  | Consume (p, s) -> Printf.sprintf "Consume (%d, %d)" p s
+  | Spawn ops -> Printf.sprintf "Spawn [%d ops]" (List.length ops)
+
+let gen_programs =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun d -> Sleep d) (int_bound 3);
+        pure Yield;
+        map (fun q -> Wait q) (int_bound 1);
+        map (fun q -> Signal q) (int_bound 1);
+        map2 (fun d q -> Timer (d, q)) (int_bound 2) (int_bound 1);
+        pure Cancel;
+        map2 (fun p s -> Consume (p, s)) (int_bound 2) (int_range 1 3);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (8, leaf);
+        (1, map (fun ops -> Spawn ops) (list_size (int_bound 4) leaf));
+      ]
+  in
+  list_size (int_range 1 4) (list_size (int_bound 8) op)
+
+let run_programs policy programs =
+  let eng = Engine.create () in
+  let log, note = logger eng in
+  let qs = [| Waitq.create eng (); Waitq.create eng () |] in
+  let cpu = Cpu.create eng ~name:"cpu" () in
+  let rec body name ops () =
+    let owner = Cpu.owner cpu ~name ~switch_in:1 in
+    let timers = ref [] in
+    List.iteri
+      (fun i op ->
+        let step = Printf.sprintf "%s.%d" name i in
+        (match op with
+        | Sleep d -> Engine.sleep eng d
+        | Yield -> Engine.yield eng
+        | Wait q -> Waitq.wait qs.(q)
+        | Signal q -> ignore (Waitq.signal qs.(q))
+        | Timer (d, q) ->
+            let label = step ^ ".timer" in
+            timers :=
+              Engine.after eng ~label d (fun () ->
+                  note label;
+                  ignore (Waitq.signal qs.(q)))
+              :: !timers
+        | Cancel -> (
+            match !timers with
+            | tm :: rest ->
+                Engine.cancel tm;
+                timers := rest
+            | [] -> ())
+        | Consume (p, s) -> Cpu.consume cpu owner ~priority:p s
+        | Spawn child -> Engine.spawn eng ~name:step (body step child));
+        note step)
+      ops
+  in
+  List.iteri
+    (fun i ops ->
+      let name = Printf.sprintf "p%d" i in
+      Engine.spawn eng ~name (body name ops))
+    programs;
+  Engine.set_tie_break eng policy;
+  Engine.run eng;
+  (List.rev !log, Engine.now eng)
+
+let prop_ring_matches_heap_order =
+  QCheck2.Test.make ~count:300 ~name:"ring and heap fire in one order"
+    ~print:
+      QCheck2.Print.(list (list (fun op -> show_op op)))
+    gen_programs
+    (fun programs ->
+      run_programs None programs = run_programs (Some (fun _ -> 0)) programs)
+
 (* ---------- words per context switch ---------- *)
 
 (* Minor words per round trip of each switch primitive, pinned as
@@ -145,18 +393,18 @@ let in_process f rounds =
   Engine.run eng
 
 let test_switch_words () =
-  check_words "sleep" ~ceiling:46
+  check_words "sleep" ~ceiling:25
     (in_process (fun eng n ->
          for _ = 1 to n do
            Engine.sleep eng 1
          done));
-  check_words "yield" ~ceiling:45
+  check_words "yield" ~ceiling:16
     (in_process (fun eng n ->
          for _ = 1 to n do
            Engine.yield eng
          done));
   (* one round: each side waits once and signals once *)
-  check_words "waitq wait/signal ping-pong" ~ceiling:88 (fun n ->
+  check_words "waitq wait/signal ping-pong" ~ceiling:38 (fun n ->
       let eng = Engine.create () in
       let qa = Waitq.create eng () and qb = Waitq.create eng () in
       Engine.spawn eng (fun () ->
@@ -170,14 +418,14 @@ let test_switch_words () =
             Waitq.wait qa
           done);
       Engine.run eng);
-  check_words "cpu consume" ~ceiling:57
+  check_words "cpu consume" ~ceiling:36
     (in_process (fun eng n ->
          let cpu = Cpu.create eng ~name:"cpu" () in
          let o = Cpu.owner cpu ~name:"o" ~switch_in:10 in
          for _ = 1 to n do
            Cpu.consume cpu o ~priority:1 100
          done));
-  check_words "spawn" ~ceiling:38 (fun n ->
+  check_words "spawn" ~ceiling:32 (fun n ->
       let eng = Engine.create () in
       for _ = 1 to n do
         Engine.spawn eng ~name:"p" ignore
@@ -771,6 +1019,10 @@ let () =
             test_suspend_resume_value;
           Alcotest.test_case "double resume raises" `Quick
             test_double_resume_raises;
+          Alcotest.test_case "double resume raises, unit path" `Quick
+            test_double_resume_unit_raises;
+          Alcotest.test_case "run ~until never rewinds" `Quick
+            test_run_until_never_rewinds;
           Alcotest.test_case "words per switch" `Quick test_switch_words;
         ] );
       ( "waitq",
@@ -793,6 +1045,15 @@ let () =
             test_identity_tie_break_pins_default;
           Alcotest.test_case "reversing policy reorders" `Quick
             test_tie_break_reorders;
+          Alcotest.test_case "wake label shared by name" `Quick
+            test_wake_label_shared_by_name;
+          Alcotest.test_case "ring interleaves at-now events" `Quick
+            test_ring_interleaves_at_now;
+          Alcotest.test_case "ring cancels an at-now event" `Quick
+            test_ring_cancels_at_now;
+          Alcotest.test_case "run ~until with a ring" `Quick
+            test_run_until_with_ring;
+          qtest prop_ring_matches_heap_order;
         ] );
       ( "resource",
         [
